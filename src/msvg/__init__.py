@@ -18,7 +18,6 @@ The package is organised as:
 """
 
 from .distribution import (
-    ArMsvgParams,
     CenterGuard,
     MixingExpectations,
     MsvgParams,
@@ -70,7 +69,6 @@ from .study import StudySpec, StudyTable, delta_sweep, replicate_seed, run_study
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArMsvgParams",
     "CenterGuard",
     "DegenerateMixingError",
     "FitConfig",

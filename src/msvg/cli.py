@@ -1,8 +1,12 @@
 """Command-line front end: fit, grid, simulate, summary.
 
-All numeric output is written with repr / ``%.17g`` formatting, so repeated
-runs with identical inputs produce byte-identical files.  Exit codes:
-0 success, 1 numerical failure, 2 usage or schema error.
+All numeric output is written with repr / ``%.17g`` formatting and no file
+records a run time, so repeated runs with identical inputs produce
+byte-identical files; ``fit`` reports its wall time only in the printed
+``wrote ...`` line.  Parameter blocks are read and written by
+:meth:`MsvgParams.from_json` / :meth:`MsvgParams.to_json`: ``mu`` for the
+plain model, ``beta0`` and ``beta1`` for AR(1).  Exit codes: 0 success,
+1 numerical failure, 2 usage or schema error.
 """
 
 from __future__ import annotations
@@ -10,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .distribution import ArMsvgParams, CenterGuard, MsvgParams, density_grid, moments
+from .distribution import CenterGuard, MsvgParams, density_grid, moments
 from .ecm import ALGORITHMS, FitConfig, fit
 from .inference import (
     aicc,
@@ -45,27 +50,11 @@ def _load_panel(args) -> ReturnsPanel:
                         price_columns=columns, log_returns=True)
 
 
-def _params_to_json(params) -> dict:
-    if isinstance(params, ArMsvgParams):
-        return {"beta0": params.beta0.tolist(), "beta1": params.beta1.tolist(),
-                "sigma": params.sigma.tolist(), "gamma": params.gamma.tolist(),
-                "nu": params.nu}
-    return {"mu": params.mu.tolist(), "sigma": params.sigma.tolist(),
-            "gamma": params.gamma.tolist(), "nu": params.nu}
-
-
-def _params_from_json(blob: dict):
+def _params_from_json(blob: dict) -> MsvgParams:
+    if not isinstance(blob, dict):
+        raise SpecError("parameter block must be a JSON object")
     try:
-        if "beta0" in blob:
-            return ArMsvgParams(beta0=np.asarray(blob["beta0"], dtype=float),
-                                beta1=np.asarray(blob["beta1"], dtype=float),
-                                sigma=np.asarray(blob["sigma"], dtype=float),
-                                gamma=np.asarray(blob["gamma"], dtype=float),
-                                nu=float(blob["nu"]))
-        return MsvgParams(mu=np.asarray(blob["mu"], dtype=float),
-                          sigma=np.asarray(blob["sigma"], dtype=float),
-                          gamma=np.asarray(blob["gamma"], dtype=float),
-                          nu=float(blob["nu"]))
+        return MsvgParams.from_json(blob)
     except KeyError as exc:
         raise SpecError(f"parameter block is missing field {exc}") from None
 
@@ -103,9 +92,7 @@ def cmd_fit(args) -> int:
     k = n_free_params(params)
     ic = aicc(report.final_loglik, k, report.n_obs)
     corr_sigma = _corr_from_cov(params.sigma)
-    corr_total = _corr_from_cov(moments(MsvgParams(
-        mu=params.beta0 if isinstance(params, ArMsvgParams) else params.mu,
-        sigma=params.sigma, gamma=params.gamma, nu=params.nu))[1])
+    corr_total = _corr_from_cov(moments(params)[1])
 
     labels = param_labels(params)
     est = flatten_params(params)
@@ -123,11 +110,10 @@ def cmd_fit(args) -> int:
         "converged": report.converged,
         "conv_iter": report.conv_iter,
         "switch_iter": report.switch_iter,
-        "wall_time": report.wall_time,
         "final_loglik": report.final_loglik,
         "aicc": ic,
         "k": k,
-        "params": _params_to_json(params),
+        "params": params.to_json(),
         "estimates": {lab: float(v) for lab, v in zip(labels, est)},
         "standard_errors": {lab: float(v) for lab, v in ses.items()},
         "se_error": se_error,
@@ -150,7 +136,6 @@ def cmd_fit(args) -> int:
         f"iterations: {report.conv_iter}"
         + (f"  switch_iter: {report.switch_iter}" if report.switch_iter else ""),
         f"loglik: {_fmt(report.final_loglik)}  AICc: {_fmt(ic)}  k: {k}",
-        f"wall_time_sec: {_fmt(report.wall_time)}",
         "",
         "estimate (standard error)",
     ]
@@ -166,15 +151,15 @@ def cmd_fit(args) -> int:
         fh.write("\n".join(lines) + "\n")
 
     if args.ar == 1:
-        resid = (panel.values[1:] - params.beta0
-                 - panel.values[:-1] @ params.beta1.T)
+        resid = panel.values[1:] - params.location(panel.values[:-1])
         with open(f"{out}_residuals.csv", "w", newline="") as fh:
             fh.write(",".join(panel.series_names) + "\n")
             for row in resid:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     print(f"wrote {out}.txt, {out}.json"
-          + (f", {out}_residuals.csv" if args.ar == 1 else ""))
+          + (f", {out}_residuals.csv" if args.ar == 1 else "")
+          + f" (fit wall time {report.wall_time:.3f} s)")
     return 0 if report.converged else 1
 
 
@@ -183,11 +168,8 @@ def cmd_grid(args) -> int:
         blob = json.load(fh)
     if "params" in blob:
         blob = blob["params"]
-    params = _params_from_json(blob)
-    if isinstance(params, ArMsvgParams):
-        # grid the residual distribution with the intercept as its centre
-        params = MsvgParams(mu=params.beta0, sigma=params.sigma,
-                            gamma=params.gamma, nu=params.nu)
+    # an AR(1) block is gridded as its innovation plus the intercept
+    params = replace(_params_from_json(blob), beta1=None)
     if params.d != 2:
         raise ValueError(f"grid emission needs bivariate parameters, got d={params.d}")
     xlim = tuple(float(v) for v in args.xlim.split(","))

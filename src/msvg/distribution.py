@@ -19,7 +19,10 @@ delta * psi below a small threshold (the "delta region") are therefore
 evaluated at the substituted distance delta* = threshold / psi, which caps
 the density and keeps every conditional moment finite.
 
-An AR(1) mean variant replaces mu by beta0 + beta1 @ y_prev.
+The AR(1) mean variant is the same model with location beta0 + beta1 @ y_prev;
+:class:`MsvgParams` carries it as an optional lag matrix ``beta1``, with
+``mu`` holding the intercept beta0, and :meth:`MsvgParams.location` is the
+one place that forms the location.
 """
 
 from __future__ import annotations
@@ -39,23 +42,32 @@ _LOG_CLIP = 700.0
 
 @dataclass
 class MsvgParams:
-    """Parameter block (location, scale matrix, skewness, shape) of one MSVG model."""
+    """Parameter block (location, scale matrix, skewness, shape) of one MSVG model.
+
+    With the lag matrix ``beta1`` set the model has an AR(1) mean: ``mu`` is
+    then the intercept beta0 and the location of y_t is mu + beta1 @ y_{t-1}.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
     gamma: np.ndarray
     nu: float
+    beta1: np.ndarray | None = None
 
     def __post_init__(self):
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         self.nu = float(self.nu)
+        arrays = [self.mu, self.sigma, self.gamma]
         d = self.mu.shape[0]
-        if self.sigma.shape != (d, d) or self.gamma.shape != (d,):
+        if self.ar:
+            self.beta1 = np.atleast_2d(np.asarray(self.beta1, dtype=float))
+            arrays.append(self.beta1)
+        if (self.sigma.shape != (d, d) or self.gamma.shape != (d,)
+                or (self.ar and self.beta1.shape != (d, d))):
             raise ValueError("parameter dimensions disagree")
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.gamma))
-                and np.all(np.isfinite(self.sigma))):
+        if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("parameters must be finite")
         if not self.nu > 0:
             raise ValueError(f"shape parameter must be positive, got {self.nu}")
@@ -64,39 +76,17 @@ class MsvgParams:
     def d(self) -> int:
         return self.mu.shape[0]
 
-    def location(self, y_prev=None) -> np.ndarray:
-        return self.mu
-
-
-@dataclass
-class ArMsvgParams:
-    """MSVG parameters with an AR(1) mean: location beta0 + beta1 @ y_prev."""
-
-    beta0: np.ndarray
-    beta1: np.ndarray
-    sigma: np.ndarray
-    gamma: np.ndarray
-    nu: float
-
-    def __post_init__(self):
-        self.beta0 = np.atleast_1d(np.asarray(self.beta0, dtype=float))
-        self.beta1 = np.atleast_2d(np.asarray(self.beta1, dtype=float))
-        self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        self.nu = float(self.nu)
-        d = self.beta0.shape[0]
-        if (self.beta1.shape != (d, d) or self.sigma.shape != (d, d)
-                or self.gamma.shape != (d,)):
-            raise ValueError("parameter dimensions disagree")
-        for a in (self.beta0, self.beta1, self.sigma, self.gamma):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("parameters must be finite")
-        if not self.nu > 0:
-            raise ValueError(f"shape parameter must be positive, got {self.nu}")
-
     @property
-    def d(self) -> int:
-        return self.beta0.shape[0]
+    def ar(self) -> bool:
+        return self.beta1 is not None
+
+    def location(self, y_prev=None) -> np.ndarray:
+        """mu for the plain model; the (n, d) block mu + y_prev @ beta1' for AR(1)."""
+        if not self.ar:
+            return self.mu
+        if y_prev is None:
+            raise ValueError("AR parameters require the lagged observations")
+        return self.mu + np.asarray(y_prev, dtype=float) @ self.beta1.T
 
     @property
     def spectral_radius(self) -> float:
@@ -108,11 +98,24 @@ class ArMsvgParams:
         return self.spectral_radius < 1.0
 
     def stationary_mean(self) -> np.ndarray:
-        return np.linalg.solve(np.eye(self.d) - self.beta1, self.beta0 + self.gamma)
+        return np.linalg.solve(np.eye(self.d) - self.beta1, self.mu + self.gamma)
 
-    def location(self, y_prev):
-        y_prev = np.asarray(y_prev, dtype=float)
-        return self.beta0 + y_prev @ self.beta1.T
+    def to_json(self) -> dict:
+        """Plain-JSON block; an AR(1) intercept is written as ``beta0``."""
+        if not self.ar:
+            out = {"mu": self.mu.tolist()}
+        else:
+            out = {"beta0": self.mu.tolist(), "beta1": self.beta1.tolist()}
+        out.update(sigma=self.sigma.tolist(), gamma=self.gamma.tolist(), nu=self.nu)
+        return out
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "MsvgParams":
+        """Inverse of :meth:`to_json`; a missing field raises KeyError."""
+        if "beta0" in blob:
+            return cls(mu=blob["beta0"], beta1=blob["beta1"], sigma=blob["sigma"],
+                       gamma=blob["gamma"], nu=blob["nu"])
+        return cls(mu=blob["mu"], sigma=blob["sigma"], gamma=blob["gamma"], nu=blob["nu"])
 
 
 @dataclass(frozen=True)
@@ -153,13 +156,13 @@ class MixingExpectations:
 
 
 def location_tag(location, gamma) -> bytes:
-    """Freshness token tying mixing expectations to the location/skew they used."""
-    if isinstance(location, tuple):
-        parts = [np.ascontiguousarray(a, dtype=float).tobytes() for a in location]
-    else:
-        parts = [np.ascontiguousarray(location, dtype=float).tobytes()]
-    parts.append(np.ascontiguousarray(gamma, dtype=float).tobytes())
-    return b"".join(parts)
+    """Freshness token tying mixing expectations to the location/skew they used.
+
+    ``location`` is the (d,) vector or, for AR(1), the (n, d) block of
+    per-row locations.
+    """
+    return (np.ascontiguousarray(location, dtype=float).tobytes()
+            + np.ascontiguousarray(gamma, dtype=float).tobytes())
 
 
 def _chol_lower(sigma: np.ndarray) -> np.ndarray:
@@ -174,12 +177,7 @@ def _whiten(chol_l: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _residuals(params, y, y_prev):
-    y = np.asarray(y, dtype=float)
-    if isinstance(params, ArMsvgParams):
-        if y_prev is None:
-            raise ValueError("AR parameters require the lagged observations")
-        return y - params.location(y_prev)
-    return y - params.mu
+    return np.asarray(y, dtype=float) - params.location(y_prev)
 
 
 def _quad_form_gamma(params, chol_l) -> float:
@@ -243,7 +241,11 @@ def log_density(params, y, guard: CenterGuard | None = None, y_prev=None):
 
 
 def moments(params: MsvgParams):
-    """Mean mu + gamma and covariance Sigma + gamma gamma' / nu."""
+    """Mean mu + gamma and covariance Sigma + gamma gamma' / nu.
+
+    For AR(1) parameters these are the moments of the innovation plus the
+    intercept, y_t - beta1 @ y_{t-1}.
+    """
     mean = params.mu + params.gamma
     cov = params.sigma + np.outer(params.gamma, params.gamma) / params.nu
     return mean, cov
@@ -262,14 +264,14 @@ def sample(params, n: int, seed: int, y0=None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d = params.d
     chol_l = _chol_lower(params.sigma)
-    if isinstance(params, ArMsvgParams):
+    if params.ar:
         start = params.stationary_mean() if y0 is None else np.asarray(y0, dtype=float)
         out = np.empty((n, d))
         out[0] = start
         lam = rng.gamma(shape=params.nu, scale=1.0 / params.nu, size=n - 1)
         noise = rng.standard_normal((n - 1, d)) @ chol_l.T
         for i in range(1, n):
-            out[i] = (params.beta0 + params.beta1 @ out[i - 1]
+            out[i] = (params.mu + params.beta1 @ out[i - 1]
                       + params.gamma * lam[i - 1] + math.sqrt(lam[i - 1]) * noise[i - 1])
         return out
     lam = rng.gamma(shape=params.nu, scale=1.0 / params.nu, size=n)
@@ -278,9 +280,7 @@ def sample(params, n: int, seed: int, y0=None) -> np.ndarray:
 
 
 def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
-                             y_prev=None,
-                             step: OrderDiffStep = OrderDiffStep(),
-                             need_log: bool = True) -> MixingExpectations:
+                             y_prev=None, need_log: bool = True) -> MixingExpectations:
     """Conditional moments of the mixing weight given each observation.
 
     The posterior of lam_i is generalised inverse Gaussian with index
@@ -320,20 +320,17 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
     e_lam = np.exp(np.clip(log_dp + np.log(ratio_up), -_LOG_CLIP, _LOG_CLIP))
     e_inv = np.exp(np.clip(-log_dp + np.log(ratio_dn), -_LOG_CLIP, _LOG_CLIP))
     if need_log:
-        h = step.h
+        h = OrderDiffStep().h
         d1 = (np.exp(np.asarray(log_bessel_k(eta + h, z)) - lk_a)
               - np.exp(np.asarray(log_bessel_k(eta - h, z)) - lk_a)) / (2.0 * h)
         e_log = log_dp + d1
     else:
         e_log = None
 
-    if isinstance(params, ArMsvgParams):
-        tag = location_tag((params.beta0, params.beta1), params.gamma)
-    else:
-        tag = location_tag(params.mu, params.gamma)
     return MixingExpectations(e_lambda=e_lam, e_inv_lambda=e_inv,
                               e_log_lambda=e_log, guarded=guarded,
-                              location_tag=tag)
+                              location_tag=location_tag(params.location(y_prev),
+                                                        params.gamma))
 
 
 def density_grid(params, x_range, y_range, resolution: int,

@@ -36,10 +36,12 @@ import numpy as np
 from scipy import optimize
 
 from .distribution import (
-    ArMsvgParams,
     CenterGuard,
     MixingExpectations,
     MsvgParams,
+    _capped_delta,
+    _chol_lower,
+    _quad_form_gamma,
     location_tag,
     log_density,
     mahalanobis_delta,
@@ -48,6 +50,9 @@ from .distribution import (
 from .specfun import digamma, log_gamma, trigamma
 
 ALGORITHMS = ("mcecm", "ecme", "hecm")
+
+# a fit needs more than this many modelled observations per dimension
+MIN_OBS_PER_DIM = 10
 
 
 class DegenerateMixingError(RuntimeError):
@@ -92,8 +97,7 @@ class FitConfig:
     scale_c: float = 100.0
     nu_bounds: tuple[float, float] = (1e-4, 200.0)
     ar_order: int = 0
-    init: MsvgParams | ArMsvgParams | None = None
-    min_obs_per_dim: int = 10
+    init: MsvgParams | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -115,7 +119,7 @@ class FitConfig:
 class FitReport:
     """Converged estimates plus the diagnostics of the run."""
 
-    params: MsvgParams | ArMsvgParams
+    params: MsvgParams
     loglik_trace: np.ndarray
     final_loglik: float
     conv_iter: int
@@ -147,11 +151,8 @@ def initial_params(data: np.ndarray, ar_order: int = 0):
         raise ValueError(
             "sample covariance is singular; jitter the data or drop "
             "redundant columns before fitting") from None
-    zero = np.zeros(d)
-    if ar_order == 1:
-        return ArMsvgParams(beta0=mean, beta1=np.zeros((d, d)), sigma=cov,
-                            gamma=zero, nu=float(d))
-    return MsvgParams(mu=mean, sigma=cov, gamma=zero, nu=float(d))
+    return MsvgParams(mu=mean, sigma=cov, gamma=np.zeros(d), nu=float(d),
+                      beta1=np.zeros((d, d)) if ar_order == 1 else None)
 
 
 def accumulate_suff_stats(data: np.ndarray, mix: MixingExpectations,
@@ -229,22 +230,18 @@ def cm_step_ar(stats: SuffStats, n: int):
     return beta0, beta1, gamma
 
 
-def cm_step_scale(data: np.ndarray, location, gamma: np.ndarray,
-                  refreshed_mix: MixingExpectations, n: int,
-                  y_prev: np.ndarray | None = None) -> np.ndarray:
+def cm_step_scale(data: np.ndarray, location: np.ndarray, gamma: np.ndarray,
+                  refreshed_mix: MixingExpectations, n: int) -> np.ndarray:
     """Scale-matrix update from mixing expectations refreshed at the new
-    location and skew (the extra E-step); staleness is rejected outright."""
+    location and skew (the extra E-step); staleness is rejected outright.
+
+    ``location`` is the (d,) vector or, for AR(1), the (n, d) block of
+    per-row locations (:meth:`MsvgParams.location`).
+    """
     if refreshed_mix.location_tag != location_tag(location, gamma):
         raise ValueError("mixing expectations are stale: refresh them at the "
                          "updated location/skew before the scale step")
-    y = np.atleast_2d(np.asarray(data, dtype=float))
-    if isinstance(location, tuple):
-        beta0, beta1 = location
-        if y_prev is None:
-            raise ValueError("AR scale step needs the lagged observations")
-        resid = y - np.asarray(y_prev) @ np.asarray(beta1).T - np.asarray(beta0)
-    else:
-        resid = y - np.asarray(location)
+    resid = np.atleast_2d(np.asarray(data, dtype=float)) - np.asarray(location)
     w = refreshed_mix.e_inv_lambda
     sigma = _osum(w[:, None, None] * (resid[:, :, None] * resid[:, None, :])) / n \
         - np.outer(gamma, gamma) * (float(_osum(refreshed_mix.e_lambda)) / n)
@@ -336,20 +333,17 @@ def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,
     is excluded from the sum.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    if isinstance(params, ArMsvgParams) and y_prev is None:
+    if params.ar and y_prev is None:
         y, y_prev = data[1:], data[:-1]
     else:
         y = data
     return float(_osum(log_density(params, y, guard=guard, y_prev=y_prev)))
 
 
-def _scale_params(params, c: float):
-    if isinstance(params, ArMsvgParams):
-        return ArMsvgParams(beta0=params.beta0 * c, beta1=params.beta1.copy(),
-                            sigma=params.sigma * c * c, gamma=params.gamma * c,
-                            nu=params.nu)
-    return MsvgParams(mu=params.mu * c, sigma=params.sigma * c * c,
-                      gamma=params.gamma * c, nu=params.nu)
+def _scale_params(params: MsvgParams, c: float) -> MsvgParams:
+    # the lag matrix is scale free
+    return replace(params, mu=params.mu * c, sigma=params.sigma * c * c,
+                   gamma=params.gamma * c)
 
 
 def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
@@ -373,7 +367,7 @@ def _one_cycle(y, y_prev, params, guard, nu_step: str, config: FitConfig,
                line_search_mu: bool):
     """One full ECM cycle; returns (new params, guarded count, nu flag)."""
     n = y.shape[0]
-    ar = isinstance(params, ArMsvgParams)
+    ar = params.ar
 
     if line_search_mu:
         mu_star = _maximize_mu_univariate(y, params, guard)
@@ -387,8 +381,7 @@ def _one_cycle(y, y_prev, params, guard, nu_step: str, config: FitConfig,
     # CM-step 1: location and skew
     if ar:
         beta0, beta1, gamma = cm_step_ar(stats1, n)
-        location = (beta0, beta1)
-        trial = replace(params, beta0=beta0, beta1=beta1, gamma=gamma)
+        trial = replace(params, mu=beta0, beta1=beta1, gamma=gamma)
     else:
         if line_search_mu:
             mu = params.mu
@@ -401,13 +394,12 @@ def _one_cycle(y, y_prev, params, guard, nu_step: str, config: FitConfig,
                 # weighted mean with no skew update
                 mu = stats1.s_y_over_lambda / stats1.s_inv_lambda
                 gamma = np.zeros_like(mu)
-        location = mu
         trial = replace(params, mu=mu, gamma=gamma)
 
     # extra E-step at the new location/skew, then the scale update
     mix34 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
                                      need_log=False)
-    sigma = cm_step_scale(y, location, trial.gamma, mix34, n, y_prev=y_prev)
+    sigma = cm_step_scale(y, trial.location(y_prev), trial.gamma, mix34, n)
     trial = replace(trial, sigma=sigma)
 
     nu_at_bound = False
@@ -443,10 +435,10 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     n_total, d = data.shape
     ar = config.ar_order == 1
     n_eff = n_total - 1 if ar else n_total
-    if n_eff <= config.min_obs_per_dim * d:
+    if n_eff <= MIN_OBS_PER_DIM * d:
         raise ValueError(
-            f"need more than {config.min_obs_per_dim} observations per "
-            f"dimension ({config.min_obs_per_dim * d}), got {n_eff}")
+            f"need more than {MIN_OBS_PER_DIM} observations per "
+            f"dimension ({MIN_OBS_PER_DIM * d}), got {n_eff}")
 
     c = float(config.scale_c)
     x_scaled = data * c
@@ -496,17 +488,17 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
         ll_prev = ll
 
     final_params = _scale_params(params, 1.0 / c)
-    if isinstance(final_params, ArMsvgParams) and not final_params.stationary:
+    if final_params.ar and not final_params.stationary:
         warnings.warn(
             f"fitted AR matrix has spectral radius "
             f"{final_params.spectral_radius:.4f} >= 1 (non-stationary mean)",
             RuntimeWarning)
 
-    # guarded count at the final iterate
+    # guarded count at the final iterate, by the E-step's rule
     psi = math.sqrt(2.0 * params.nu
-                    + float(params.gamma @ np.linalg.solve(params.sigma, params.gamma)))
-    delta = mahalanobis_delta(params, y, y_prev=y_prev)
-    guarded_final = int(np.sum(delta * psi < guard.delta_cap))
+                    + _quad_form_gamma(params, _chol_lower(params.sigma)))
+    _, guarded = _capped_delta(mahalanobis_delta(params, y, y_prev=y_prev), psi, guard)
+    guarded_final = int(np.sum(guarded))
 
     return FitReport(
         params=final_params,

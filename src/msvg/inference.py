@@ -17,7 +17,8 @@ Every per-observation score is a linear combination of the monomials
 covariance) come from the closed GIG moment formulas with the order
 derivatives of K handled by central differences.
 
-The free-parameter vector stacks location (beta0 or mu), vec(beta1)
+The free-parameter vector stacks the location vector ``mu`` (labelled
+beta0 for AR(1) parameters, where it is the intercept), vec(beta1)
 column-major (AR only), vech(Sigma) column-major lower triangle, gamma, and
 nu; off-diagonal scale entries carry the usual factor-two adjustment for
 the symmetric parameterisation.
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (
-    ArMsvgParams,
     CenterGuard,
     MsvgParams,
     _capped_delta,
@@ -40,7 +40,6 @@ from .distribution import (
     mahalanobis_delta,
 )
 from .specfun import (
-    OrderDiffStep,
     bessel_k_order_derivative_over_k,
     digamma,
     log_bessel_k,
@@ -68,9 +67,8 @@ def vech_indices(d: int) -> list[tuple[int, int]]:
 def param_labels(params) -> list[str]:
     """Ordered labels of the free-parameter vector."""
     d = params.d
-    ar = isinstance(params, ArMsvgParams)
-    labels = [f"beta0_{i + 1}" if ar else f"mu_{i + 1}" for i in range(d)]
-    if ar:
+    labels = [f"beta0_{i + 1}" if params.ar else f"mu_{i + 1}" for i in range(d)]
+    if params.ar:
         labels += [f"beta1_{r + 1}{c + 1}" for c in range(d) for r in range(d)]
     labels += [f"sigma_{i + 1}{j + 1}" for i, j in vech_indices(d)]
     labels += [f"gamma_{i + 1}" for i in range(d)]
@@ -81,26 +79,23 @@ def param_labels(params) -> list[str]:
 def flatten_params(params) -> np.ndarray:
     """Free-parameter vector in the :func:`param_labels` order."""
     d = params.d
-    parts = []
-    if isinstance(params, ArMsvgParams):
-        parts.append(params.beta0)
+    parts = [params.mu]
+    if params.ar:
         parts.append(params.beta1.flatten(order="F"))
-    else:
-        parts.append(params.mu)
     parts.append(np.array([params.sigma[i, j] for i, j in vech_indices(d)]))
     parts.append(params.gamma)
     parts.append(np.array([params.nu]))
     return np.concatenate(parts)
 
 
-def unflatten_params(theta: np.ndarray, template) -> MsvgParams | ArMsvgParams:
+def unflatten_params(theta: np.ndarray, template) -> MsvgParams:
     """Rebuild a parameter block from a free-parameter vector."""
     d = template.d
-    ar = isinstance(template, ArMsvgParams)
     pos = 0
     loc = theta[pos:pos + d]
     pos += d
-    if ar:
+    beta1 = None
+    if template.ar:
         beta1 = theta[pos:pos + d * d].reshape(d, d, order="F")
         pos += d * d
     sigma = np.zeros((d, d))
@@ -109,15 +104,11 @@ def unflatten_params(theta: np.ndarray, template) -> MsvgParams | ArMsvgParams:
         pos += 1
     gamma = theta[pos:pos + d]
     pos += d
-    nu = float(theta[pos])
-    if ar:
-        return ArMsvgParams(beta0=loc, beta1=beta1, sigma=sigma, gamma=gamma, nu=nu)
-    return MsvgParams(mu=loc, sigma=sigma, gamma=gamma, nu=nu)
+    return MsvgParams(mu=loc, sigma=sigma, gamma=gamma, nu=float(theta[pos]), beta1=beta1)
 
 
 def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
-                              y_prev=None, guard: CenterGuard | None = None,
-                              step: OrderDiffStep = OrderDiffStep()):
+                              y_prev=None, guard: CenterGuard | None = None):
     """Posterior moments E(lam^k), E(lam^k log lam) or E((log lam)^2).
 
     With eta = nu - d/2, psi = sqrt(2 nu + gamma' Sigma^-1 gamma) and the
@@ -148,8 +139,8 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
 
     with np.errstate(over="ignore"):
         if kind == "log_squared":
-            d1 = bessel_k_order_derivative_over_k(eta, z, step, degree=1)
-            d2 = bessel_k_order_derivative_over_k(eta, z, step, degree=2)
+            d1 = bessel_k_order_derivative_over_k(eta, z, degree=1)
+            d2 = bessel_k_order_derivative_over_k(eta, z, degree=2)
             out = log_dp ** 2 + d2 + 2.0 * log_dp * d1
         else:
             plain = np.exp(k * log_dp + np.asarray(log_bessel_k(eta + k, z))
@@ -157,9 +148,30 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
             if kind == "plain":
                 out = plain
             else:
-                d1 = bessel_k_order_derivative_over_k(eta + k, z, step, degree=1)
+                d1 = bessel_k_order_derivative_over_k(eta + k, z, degree=1)
                 out = plain * (d1 + log_dp)
     return float(out[0]) if single else out
+
+
+def _design(params, data, y_prev):
+    """What the score and the Hessian share.
+
+    Returns the lagged block x (None when not given), the residuals
+    e_i = y_i - location_i, the precision P = Sigma^-1, and for every
+    vech(Sigma) direction m its symmetric basis matrix E_m and P E_m P.
+    """
+    y = np.atleast_2d(np.asarray(data, dtype=float))
+    x = None if y_prev is None else np.atleast_2d(np.asarray(y_prev, dtype=float))
+    resid = y - params.location(x)
+    prec = np.linalg.inv(0.5 * (params.sigma + params.sigma.T))
+    prec = 0.5 * (prec + prec.T)
+    pairs = vech_indices(params.d)
+    e_stack = np.zeros((len(pairs), params.d, params.d))
+    w_stack = np.empty_like(e_stack)
+    for m, (i, j) in enumerate(pairs):
+        e_stack[m, i, j] = e_stack[m, j, i] = 1.0
+        w_stack[m] = prec @ e_stack[m] @ prec
+    return x, resid, prec, e_stack, w_stack
 
 
 def _score_stacks(params, data, y_prev):
@@ -169,33 +181,15 @@ def _score_stacks(params, data, y_prev):
     mixing weight lam is A_i + B_i / lam + C_i lam + D_i log lam.
     """
     d = params.d
-    ar = isinstance(params, ArMsvgParams)
-    y = np.atleast_2d(np.asarray(data, dtype=float))
-    n = y.shape[0]
-    if ar:
-        x = np.atleast_2d(np.asarray(y_prev, dtype=float))
-        resid = y - x @ params.beta1.T - params.beta0
-    else:
-        x = None
-        resid = y - params.mu
-
-    prec = np.linalg.inv(0.5 * (params.sigma + params.sigma.T))
-    prec = 0.5 * (prec + prec.T)
+    ar = params.ar
+    x, resid, prec, e_stack, w_stack = _design(params, data, y_prev)
+    n = resid.shape[0]
     pg = prec @ params.gamma
     pe = resid @ prec                       # rows: Sigma^-1 e_i
+    ps = e_stack.shape[0]
+    tr_pe = np.array([np.trace(prec @ basis) for basis in e_stack])
 
-    pairs = vech_indices(d)
-    ps = len(pairs)
-    w_stack = np.empty((ps, d, d))
-    tr_pe = np.empty(ps)
-    for m, (i, j) in enumerate(pairs):
-        basis = np.zeros((d, d))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        w_stack[m] = prec @ basis @ prec
-        tr_pe[m] = np.trace(prec @ basis)
-
-    p = (2 * d + ps + 1) + (d * d if ar else 0)
+    p = n_free_params(params)
     a = np.zeros((n, p))
     b = np.zeros((n, p))
     c = np.zeros((n, p))
@@ -241,31 +235,13 @@ def complete_score(params, data, lambda_block, y_prev=None) -> np.ndarray:
 def _expected_hessian(params, data, y_prev, m1, m_1):
     """Conditional expectation of the complete-data Hessian, summed over rows."""
     d = params.d
-    ar = isinstance(params, ArMsvgParams)
-    y = np.atleast_2d(np.asarray(data, dtype=float))
-    n = y.shape[0]
-    if ar:
-        x = np.atleast_2d(np.asarray(y_prev, dtype=float))
-        resid = y - x @ params.beta1.T - params.beta0
-    else:
-        x = None
-        resid = y - params.mu
-
-    prec = np.linalg.inv(0.5 * (params.sigma + params.sigma.T))
-    prec = 0.5 * (prec + prec.T)
+    ar = params.ar
+    x, resid, prec, e_stack, w_stack = _design(params, data, y_prev)
+    n = resid.shape[0]
     gamma = params.gamma
-    pairs = vech_indices(d)
-    ps = len(pairs)
-    w_stack = np.empty((ps, d, d))
-    e_stack = np.empty((ps, d, d))
-    for m, (i, j) in enumerate(pairs):
-        basis = np.zeros((d, d))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        e_stack[m] = basis
-        w_stack[m] = prec @ basis @ prec
+    ps = e_stack.shape[0]
 
-    p = (2 * d + ps + 1) + (d * d if ar else 0)
+    p = n_free_params(params)
     h = np.zeros((p, p))
     i_loc = slice(0, d)
     i_b1 = slice(d, d + d * d) if ar else None
@@ -326,15 +302,15 @@ def _expected_hessian(params, data, y_prev, m1, m_1):
     return h
 
 
-def observed_info(params, data, y_prev=None, guard: CenterGuard | None = None,
-                  step: OrderDiffStep = OrderDiffStep()) -> InfoMatrix:
+def observed_info(params, data, y_prev=None,
+                  guard: CenterGuard | None = None) -> InfoMatrix:
     """Observed information at (or near) a converged fit via Louis's identity.
 
     For AR parameters without an explicit lagged block, the first row of
     ``data`` conditions the fit, matching :func:`msvg.ecm.observed_loglik`.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    if isinstance(params, ArMsvgParams) and y_prev is None:
+    if params.ar and y_prev is None:
         y, y_prev = data[1:], data[:-1]
     else:
         y = data
@@ -343,7 +319,7 @@ def observed_info(params, data, y_prev=None, guard: CenterGuard | None = None,
 
     def moment(k, kind):
         vals = np.atleast_1d(conditional_lambda_moment(
-            params, y, k=k, kind=kind, y_prev=y_prev, guard=guard, step=step))
+            params, y, k=k, kind=kind, y_prev=y_prev, guard=guard))
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ValueError(
@@ -419,4 +395,4 @@ def n_free_params(params) -> int:
     """Size of the free-parameter vector."""
     d = params.d
     base = 2 * d + d * (d + 1) // 2 + 1
-    return base + (d * d if isinstance(params, ArMsvgParams) else 0)
+    return base + (d * d if params.ar else 0)

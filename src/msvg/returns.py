@@ -39,6 +39,43 @@ def _parse_price(cell: str) -> float | None:
     return value
 
 
+def _read_rows(path, date_column: str | None, columns: list[str] | None):
+    """Rows of the selected columns, each as (line number, date, values).
+
+    Blank lines are skipped; a row with any missing or unparseable value is
+    dropped and counted.  Without a date column the line number stands in
+    for the date.  Returns (columns, rows, dropped).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        if date_column is not None and date_column not in header:
+            raise ValueError(f"{path}: no column named {date_column!r}")
+        date_idx = header.index(date_column) if date_column is not None else None
+        if columns is None:
+            columns = [h for i, h in enumerate(header) if i != date_idx]
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: no column(s) named {missing}")
+        col_idx = [header.index(c) for c in columns]
+
+        rows, dropped = [], 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            vals = [_parse_price(row[i]) if i < len(row) else None for i in col_idx]
+            if any(v is None for v in vals):
+                dropped += 1
+                continue
+            date = row[date_idx].strip() if date_idx is not None else str(line_no)
+            rows.append((line_no, date, vals))
+    return list(columns), rows, dropped
+
+
 def load_returns(path, date_column: str | None = None,
                  price_columns: list[str] | None = None,
                  log_returns: bool = True) -> ReturnsPanel:
@@ -48,50 +85,23 @@ def load_returns(path, date_column: str | None = None,
     series has a parseable finite price (strict inner join on the row),
     and returns are taken between consecutive kept rows.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if date_column is not None and date_column not in header:
-            raise ValueError(f"{path}: no column named {date_column!r}")
-        date_idx = header.index(date_column) if date_column is not None else None
-        if price_columns is None:
-            price_columns = [h for i, h in enumerate(header) if i != date_idx]
-        missing = [c for c in price_columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: no column(s) named {missing}")
-        col_idx = [header.index(c) for c in price_columns]
-
-        dates: list[str] = []
-        rows: list[list[float]] = []
-        dropped = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            prices = [_parse_price(row[i]) if i < len(row) else None for i in col_idx]
-            if any(p is None for p in prices):
-                dropped += 1
-                continue
-            if log_returns and any(p <= 0 for p in prices):
-                bad = price_columns[[p <= 0 for p in prices].index(True)]
+    columns, rows, dropped = _read_rows(path, date_column, price_columns)
+    if log_returns:
+        for line_no, _, prices in rows:
+            if any(p <= 0 for p in prices):
+                bad = columns[[p <= 0 for p in prices].index(True)]
                 raise ValueError(
                     f"{path}: non-positive price in column {bad!r} at line "
                     f"{line_no}; log returns are undefined")
-            dates.append(row[date_idx].strip() if date_idx is not None else str(line_no))
-            rows.append(prices)
-
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 usable price rows, got {len(rows)}")
-    prices = np.asarray(rows, dtype=float)
+    prices = np.asarray([vals for _, _, vals in rows], dtype=float)
     if log_returns:
         values = np.log(prices[1:] / prices[:-1])
     else:
         values = prices[1:] / prices[:-1] - 1.0
-    return ReturnsPanel(dates=dates[1:], values=values,
-                        series_names=list(price_columns), dropped_rows=dropped)
+    return ReturnsPanel(dates=[date for _, date, _ in rows[1:]], values=values,
+                        series_names=columns, dropped_rows=dropped)
 
 
 def load_values(path, date_column: str | None = None,
@@ -101,37 +111,12 @@ def load_values(path, date_column: str | None = None,
     Rows with any missing or unparseable value are dropped and counted; no
     return computation is applied.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if date_column is not None and date_column not in header:
-            raise ValueError(f"{path}: no column named {date_column!r}")
-        date_idx = header.index(date_column) if date_column is not None else None
-        if value_columns is None:
-            value_columns = [h for i, h in enumerate(header) if i != date_idx]
-        missing = [c for c in value_columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: no column(s) named {missing}")
-        col_idx = [header.index(c) for c in value_columns]
-
-        dates, rows, dropped = [], [], 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            vals = [_parse_price(row[i]) if i < len(row) else None for i in col_idx]
-            if any(v is None for v in vals):
-                dropped += 1
-                continue
-            dates.append(row[date_idx].strip() if date_idx is not None else str(line_no))
-            rows.append(vals)
+    columns, rows, dropped = _read_rows(path, date_column, value_columns)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 usable rows, got {len(rows)}")
-    return ReturnsPanel(dates=dates, values=np.asarray(rows, dtype=float),
-                        series_names=list(value_columns), dropped_rows=dropped)
+    return ReturnsPanel(dates=[date for _, date, _ in rows],
+                        values=np.asarray([vals for _, _, vals in rows], dtype=float),
+                        series_names=columns, dropped_rows=dropped)
 
 
 def summary_statistics(panel: ReturnsPanel) -> dict[str, list[float]]:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .distribution import ArMsvgParams, MsvgParams, sample
+from .distribution import MsvgParams, sample
 from .ecm import FitConfig, fit
 from .inference import flatten_params, param_labels
 
@@ -29,7 +29,7 @@ from .inference import flatten_params, param_labels
 class StudySpec:
     """One simulation study: true model, sizes, seeds, and the cells to run."""
 
-    true_params: MsvgParams | ArMsvgParams
+    true_params: MsvgParams
     n: int
     r: int
     base_seed: int = 0
@@ -135,19 +135,11 @@ class StudyTable:
 
 
 def _spec_to_json(spec: StudySpec) -> dict:
-    params = spec.true_params
-    if isinstance(params, ArMsvgParams):
-        pj = {"beta0": params.beta0.tolist(), "beta1": params.beta1.tolist(),
-              "sigma": params.sigma.tolist(), "gamma": params.gamma.tolist(),
-              "nu": params.nu}
-    else:
-        pj = {"mu": params.mu.tolist(), "sigma": params.sigma.tolist(),
-              "gamma": params.gamma.tolist(), "nu": params.nu}
     cfg = asdict(spec.fit_config)
     cfg.pop("init", None)
     cfg["nu_bounds"] = list(spec.fit_config.nu_bounds)
     return {
-        "true_params": pj,
+        "true_params": spec.true_params.to_json(),
         "n": spec.n,
         "r": spec.r,
         "base_seed": spec.base_seed,

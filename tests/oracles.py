@@ -223,7 +223,7 @@ def complete_data_loglik(params, y, lam, y_prev=None):
     gamma_v = np.asarray(params.gamma, dtype=float)
     nu = params.nu
     if y_prev is not None:
-        loc = np.asarray(params.beta0) + np.atleast_2d(y_prev) @ np.asarray(params.beta1).T
+        loc = np.asarray(params.mu) + np.atleast_2d(y_prev) @ np.asarray(params.beta1).T
     else:
         loc = np.asarray(params.mu)
     chol = linalg.cholesky(sigma, lower=True)

@@ -1,0 +1,176 @@
+"""End-to-end tests of the ``msvg`` command line, run in-process."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from msvg.cli import main
+
+FIXTURE = Path(__file__).parent / "data" / "fixture_prices.csv"
+PANEL_ARGS = ["--data", str(FIXTURE), "--date-column", "date", "--columns", "AAA,BBB"]
+TINY_SPEC = {
+    "true_params": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.3], [0.3, 1.0]],
+                    "gamma": [0.2, -0.1], "nu": 2.0},
+    "n": 200,
+    "r": 1,
+    "base_seed": 3,
+    "algorithms": ["hecm"],
+}
+
+
+@pytest.fixture(autouse=True)
+def serial_workers(monkeypatch):
+    monkeypatch.setenv("MSVG_THREADS", "1")
+
+
+def run_cli(*argv) -> int:
+    return main([str(a) for a in argv])
+
+
+def fit_files(prefix: Path) -> dict[str, bytes]:
+    """Every file a fit wrote next to ``prefix``, by suffix."""
+    return {p.name[len(prefix.name):]: p.read_bytes()
+            for p in sorted(prefix.parent.glob(prefix.name + "*"))}
+
+
+@pytest.fixture(scope="module", params=[0, 1], ids=["plain", "ar1"])
+def fitted(request, tmp_path_factory):
+    """Two runs of the same fixture fit, each into its own directory."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MSVG_THREADS", "1")
+        for name in ("first", "second"):
+            prefix = tmp_path_factory.mktemp(name) / "fit"
+            code = run_cli("fit", *PANEL_ARGS, "--tol", "1e-6",
+                           "--ar", request.param, "--out", prefix)
+            runs.append((code, prefix))
+    return request.param, runs
+
+
+def write_json(path: Path, blob) -> Path:
+    path.write_text(json.dumps(blob))
+    return path
+
+
+class TestFit:
+    def test_exit_zero_and_files(self, fitted):
+        ar, runs = fitted
+        code, prefix = runs[0]
+        assert code == 0
+        expected = {".json", ".txt"} | ({"_residuals.csv"} if ar else set())
+        assert set(fit_files(prefix)) == expected
+
+    def test_rerun_byte_identical(self, fitted):
+        _, runs = fitted
+        (_, first), (_, second) = runs
+        assert fit_files(first) == fit_files(second)
+
+    def test_report_contents(self, fitted):
+        ar, runs = fitted
+        blob = json.loads(Path(f"{runs[0][1]}.json").read_text())
+        assert blob["converged"] is True
+        assert blob["ar_order"] == ar
+        assert blob["series"] == ["AAA", "BBB"]
+        loc = "beta0" if ar else "mu"
+        assert set(blob["params"]) == {loc, "sigma", "gamma", "nu"} | (
+            {"beta1"} if ar else set())
+        assert {f"{loc}_1", f"{loc}_2"} <= set(blob["estimates"])
+        assert ("beta1_21" in blob["estimates"]) == bool(ar)
+        assert blob["estimates"][f"{loc}_1"] == blob["params"][loc][0]
+        # standard errors are best-effort: all of them, or the reason for none
+        if blob["se_error"] is None:
+            assert set(blob["standard_errors"]) == set(blob["estimates"])
+        else:
+            assert blob["standard_errors"] == {}
+
+    def test_printed_line_names_the_files(self, tmp_path, capsys):
+        prefix = tmp_path / "fit"
+        assert run_cli("fit", *PANEL_ARGS, "--tol", "1e-6", "--out", prefix) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {prefix}.txt, {prefix}.json" in out
+
+
+class TestGrid:
+    def test_grid_from_fit_report(self, fitted, tmp_path):
+        ar, runs = fitted
+        report = Path(f"{runs[0][1]}.json")
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", "--params", report, "--xlim=-0.05,0.05",
+                       "--ylim=-0.05,0.05", "--res", 6, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x,y,density"
+        assert len(lines) == 1 + 36
+        dens = np.array([float(line.split(",")[2]) for line in lines[1:]])
+        assert np.all(np.isfinite(dens)) and np.all(dens > 0)
+
+        # an AR report is gridded as its residual distribution centred on
+        # the intercept: the same grid as a bare plain block with mu = beta0
+        params = json.loads(report.read_text())["params"]
+        plain = {"mu": params["beta0" if ar else "mu"], "sigma": params["sigma"],
+                 "gamma": params["gamma"], "nu": params["nu"]}
+        bare = write_json(tmp_path / "bare.json", plain)
+        out2 = tmp_path / "grid2.csv"
+        assert run_cli("grid", "--params", bare, "--xlim=-0.05,0.05",
+                       "--ylim=-0.05,0.05", "--res", 6, "--out", out2) == 0
+        assert out2.read_bytes() == out.read_bytes()
+
+    def test_missing_nu_is_a_schema_error(self, tmp_path, capsys):
+        bare = write_json(tmp_path / "p.json", {"mu": [0.0, 0.0], "gamma": [0.0, 0.0],
+                                                "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+        code = run_cli("grid", "--params", bare, "--xlim=-1,1", "--ylim=-1,1",
+                       "--res", 2, "--out", tmp_path / "g.csv")
+        assert code == 2
+        assert "nu" in capsys.readouterr().err
+
+
+class TestSimulate:
+    def test_spec_sidecar_reproduces_study(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", TINY_SPEC)
+        assert run_cli("simulate", spec, "--out", tmp_path / "a") == 0
+        study = (tmp_path / "a" / "study.csv").read_bytes()
+        assert study.startswith(b"algorithm,delta,gamma,statistic,value\n")
+        assert b"hecm,default,0.2|-0.1,mean.nu," in study
+        sidecar = tmp_path / "a" / "study_spec.json"
+        assert json.loads(sidecar.read_text())["true_params"] == TINY_SPEC["true_params"]
+        assert run_cli("simulate", sidecar, "--out", tmp_path / "b") == 0
+        assert (tmp_path / "b" / "study.csv").read_bytes() == study
+
+    def test_invalid_json(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{not json")
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2
+
+    def test_missing_true_params(self, tmp_path, capsys):
+        blob = {k: v for k, v in TINY_SPEC.items() if k != "true_params"}
+        spec = write_json(tmp_path / "spec.json", blob)
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2
+        assert "true_params" in capsys.readouterr().err
+
+    def test_parameter_block_not_an_object(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, "true_params": [1, 2]})
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_parameter_block_missing_nu(self, tmp_path, capsys):
+        params = {k: v for k, v in TINY_SPEC["true_params"].items() if k != "nu"}
+        spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, "true_params": params})
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2
+        assert "nu" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestSummary:
+    def test_summary_file_and_stdout(self, tmp_path, capsys):
+        out = tmp_path / "summary.csv"
+        assert run_cli("summary", *PANEL_ARGS, "--out", out) == 0
+        capsys.readouterr()
+        text = out.read_text()
+        lines = text.splitlines()
+        assert lines[0] == "series,AAA,BBB"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "mean", "sd", "max", "min", "skewness", "kurtosis", "n", "dropped_rows"]
+        assert lines[7] == "n,59"
+        assert run_cli("summary", *PANEL_ARGS) == 0
+        assert capsys.readouterr().out == text

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from msvg.distribution import (
-    ArMsvgParams,
     CenterGuard,
     MsvgParams,
     density_grid,
@@ -37,15 +36,15 @@ class TestParams:
             MsvgParams(mu=[np.inf], sigma=[[1.0]], gamma=[0.0], nu=1.0)
 
     def test_ar_spectral_radius_flag(self):
-        p = ArMsvgParams(beta0=[0.0], beta1=[[1.2]], sigma=[[1.0]],
-                         gamma=[0.0], nu=1.0)
+        p = MsvgParams(mu=[0.0], beta1=[[1.2]], sigma=[[1.0]],
+                       gamma=[0.0], nu=1.0)
         assert p.spectral_radius == pytest.approx(1.2)
         assert not p.stationary
 
     def test_ar_stationary_mean(self):
-        p = ArMsvgParams(beta0=[1.0, 0.0], beta1=0.5 * np.eye(2),
-                         sigma=np.eye(2), gamma=[0.1, 0.1], nu=2.0)
-        expect = np.linalg.solve(np.eye(2) - p.beta1, p.beta0 + p.gamma)
+        p = MsvgParams(mu=[1.0, 0.0], beta1=0.5 * np.eye(2),
+                       sigma=np.eye(2), gamma=[0.1, 0.1], nu=2.0)
+        expect = np.linalg.solve(np.eye(2) - p.beta1, p.mu + p.gamma)
         assert np.allclose(p.stationary_mean(), expect)
 
     def test_guard_validation_and_defaults(self):
@@ -81,8 +80,8 @@ class TestMahalanobis:
             assert block[i] == pytest.approx(mahalanobis_delta(p, y[i]))
 
     def test_ar_form(self):
-        p = ArMsvgParams(beta0=[0.5], beta1=[[0.3]], sigma=[[4.0]],
-                         gamma=[0.0], nu=1.0)
+        p = MsvgParams(mu=[0.5], beta1=[[0.3]], sigma=[[4.0]],
+                       gamma=[0.0], nu=1.0)
         # residual = 2 - 0.5 - 0.3 * 1 = 1.2; delta = 1.2 / 2
         assert mahalanobis_delta(p, np.array([[2.0]]), np.array([[1.0]]))[0] \
             == pytest.approx(0.6)
@@ -216,8 +215,8 @@ class TestSample:
         assert not np.array_equal(sample(p, 64, seed=5), sample(p, 64, seed=6))
 
     def test_ar_layout_and_default_start(self):
-        p = ArMsvgParams(beta0=[1.0, 0.0], beta1=0.4 * np.eye(2),
-                         sigma=np.eye(2), gamma=[0.1, 0.2], nu=3.0)
+        p = MsvgParams(mu=[1.0, 0.0], beta1=0.4 * np.eye(2),
+                       sigma=np.eye(2), gamma=[0.1, 0.2], nu=3.0)
         x = sample(p, 500, seed=11)
         assert x.shape == (500, 2)
         np.testing.assert_allclose(x[0], p.stationary_mean())

@@ -68,7 +68,7 @@ class TestInitialParams:
         data = sample(BASE, 100, seed=1)
         p = initial_params(data, ar_order=1)
         np.testing.assert_array_equal(p.beta1, np.zeros((2, 2)))
-        np.testing.assert_allclose(p.beta0, data.mean(axis=0))
+        np.testing.assert_allclose(p.mu, data.mean(axis=0))
 
     def test_constant_column_errors(self):
         data = np.column_stack([np.arange(30.0), np.full(30, 2.0)])
@@ -338,8 +338,8 @@ class TestObservedLoglik:
         assert ours == pytest.approx(oracle, abs=1e-6)
 
     def test_ar_conditions_on_first_row(self):
-        p = msvg.ArMsvgParams(beta0=[0.1], beta1=[[0.4]], sigma=[[1.0]],
-                              gamma=[0.0], nu=2.0)
+        p = msvg.MsvgParams(mu=[0.1], beta1=[[0.4]], sigma=[[1.0]],
+                            gamma=[0.0], nu=2.0)
         data = sample(p, 40, seed=9)
         full = observed_loglik(data, p)
         explicit = observed_loglik(data[1:], p, y_prev=data[:-1])
@@ -427,9 +427,9 @@ class TestFit:
         assert abs(rep.params.nu - BASE.nu) < 1.0
 
     def test_ar_fit_recovers_lag_matrix(self):
-        true = msvg.ArMsvgParams(beta0=[0.1, -0.05], beta1=[[0.3, 0.1], [0.0, 0.2]],
-                                 sigma=[[1.0, 0.4], [0.4, 1.0]],
-                                 gamma=[0.2, 0.3], nu=2.5)
+        true = msvg.MsvgParams(mu=[0.1, -0.05], beta1=[[0.3, 0.1], [0.0, 0.2]],
+                               sigma=[[1.0, 0.4], [0.4, 1.0]],
+                               gamma=[0.2, 0.3], nu=2.5)
         data = sample(true, 2001, seed=15)
         rep = fit(data, FitConfig(algorithm="hecm", ar_order=1, scale_c=1.0))
         assert rep.converged

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import msvg
-from msvg.distribution import ArMsvgParams, CenterGuard, MsvgParams, sample
+from msvg.distribution import CenterGuard, MsvgParams, sample
 from msvg.ecm import FitConfig, fit, observed_loglik
 from msvg.inference import (
     InfoMatrix,
@@ -37,8 +37,8 @@ class TestParamVector:
             "gamma_1", "gamma_2", "nu"]
 
     def test_labels_ar(self):
-        p = ArMsvgParams(beta0=[0.0, 0.0], beta1=np.zeros((2, 2)),
-                         sigma=np.eye(2), gamma=[0.0, 0.0], nu=1.0)
+        p = MsvgParams(mu=[0.0, 0.0], beta1=np.zeros((2, 2)),
+                       sigma=np.eye(2), gamma=[0.0, 0.0], nu=1.0)
         labels = param_labels(p)
         assert labels[:2] == ["beta0_1", "beta0_2"]
         assert labels[2:6] == ["beta1_11", "beta1_21", "beta1_12", "beta1_22"]
@@ -156,8 +156,8 @@ class TestCompleteScore:
 
     def test_matches_numerical_gradient_ar(self):
         rng = np.random.default_rng(10)
-        p = ArMsvgParams(beta0=[0.1, -0.2], beta1=[[0.3, 0.0], [0.1, 0.2]],
-                         sigma=[[1.0, 0.3], [0.3, 0.9]], gamma=[0.2, -0.1], nu=2.2)
+        p = MsvgParams(mu=[0.1, -0.2], beta1=[[0.3, 0.0], [0.1, 0.2]],
+                       sigma=[[1.0, 0.3], [0.3, 0.9]], gamma=[0.2, -0.1], nu=2.2)
         data = sample(p, 41, seed=6)
         y, x = data[1:], data[:-1]
         lam = rng.uniform(0.5, 2.0, size=40)
@@ -203,9 +203,9 @@ class TestObservedInfo:
         assert rel.max() < 0.05
 
     def test_matches_numerical_hessian_ar(self):
-        true = ArMsvgParams(beta0=[0.05, -0.05], beta1=[[0.25, 0.1], [0.0, 0.3]],
-                            sigma=[[1.0, 0.4], [0.4, 1.0]], gamma=[0.2, 0.3],
-                            nu=3.0)
+        true = MsvgParams(mu=[0.05, -0.05], beta1=[[0.25, 0.1], [0.0, 0.3]],
+                          sigma=[[1.0, 0.4], [0.4, 1.0]], gamma=[0.2, 0.3],
+                          nu=3.0)
         data = sample(true, 1501, seed=12)
         rep = fit(data, FitConfig(algorithm="mcecm", scale_c=1.0, tol=1e-12,
                                   max_iter=20000, ar_order=1))
@@ -242,9 +242,9 @@ class TestObservedInfo:
             assert ses2[lab] == pytest.approx(c * c * ses1[lab], rel=1e-4)
 
     def test_ar_zero_lag_data_within_three_se(self):
-        true = ArMsvgParams(beta0=[0.0, 0.0], beta1=np.zeros((2, 2)),
-                            sigma=[[1.0, 0.4], [0.4, 1.0]], gamma=[0.2, 0.3],
-                            nu=3.0)
+        true = MsvgParams(mu=[0.0, 0.0], beta1=np.zeros((2, 2)),
+                          sigma=[[1.0, 0.4], [0.4, 1.0]], gamma=[0.2, 0.3],
+                          nu=3.0)
         data = sample(true, 1501, seed=14)
         rep = fit(data, FitConfig(algorithm="mcecm", ar_order=1))
         info = observed_info(rep.params, data)
@@ -297,6 +297,6 @@ class TestAicc:
 
     def test_free_param_count(self):
         assert n_free_params(BASE) == 8
-        p = ArMsvgParams(beta0=np.zeros(5), beta1=np.zeros((5, 5)),
-                         sigma=np.eye(5), gamma=np.zeros(5), nu=1.4)
+        p = MsvgParams(mu=np.zeros(5), beta1=np.zeros((5, 5)),
+                       sigma=np.eye(5), gamma=np.zeros(5), nu=1.4)
         assert n_free_params(p) == 5 + 25 + 15 + 5 + 1
