@@ -19,6 +19,13 @@ delta * psi below a small threshold (the "delta region") are therefore
 evaluated at the substituted distance delta* = threshold / psi, which caps
 the density and keeps every conditional moment finite.
 
+delta, psi and the guard are formed in one place.  :class:`Geometry`
+factorises Sigma once per parameter point and data block and keeps delta,
+(y - mu)' Sigma^-1 gamma, ln|Sigma| and Q; :meth:`Geometry.capped` adds psi,
+eta and the guard mask for a given nu.  The density, the E-step, the
+information moments of :mod:`msvg.inference`, ECME's shape search and the
+fit's final guarded count all read them from there.
+
 The AR(1) mean variant is the same model with location beta0 + beta1 @ y_prev;
 :class:`MsvgParams` carries it as an optional lag matrix ``beta1``, with
 ``mu`` holding the intercept beta0, and :meth:`MsvgParams.location` is the
@@ -87,6 +94,14 @@ class MsvgParams:
         if y_prev is None:
             raise ValueError("AR parameters require the lagged observations")
         return self.mu + np.asarray(y_prev, dtype=float) @ self.beta1.T
+
+    def modelled_rows(self, data, y_prev=None):
+        """``(y, y_prev)`` of a data block; for AR(1) with no lagged block
+        given, the first row only conditions the second and is not modelled."""
+        data = np.atleast_2d(np.asarray(data, dtype=float))
+        if self.ar and y_prev is None:
+            return data[1:], data[:-1]
+        return data, y_prev
 
     @property
     def spectral_radius(self) -> float:
@@ -171,38 +186,66 @@ def _chol_lower(sigma: np.ndarray) -> np.ndarray:
     return linalg.cholesky(sym, lower=True)
 
 
-def _whiten(chol_l: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # rows (n, d) -> L^-1 rows' as (n, d)
-    return linalg.solve_triangular(chol_l, rows.T, lower=True).T
+@dataclass(frozen=True)
+class Geometry:
+    """What the density and the posterior moments need of y, free of nu.
 
+    Built from one triangular factor of Sigma (never an explicit inverse):
+    the uncapped distance ``delta``, the linear term
+    ``lin = (y - location)' Sigma^-1 gamma``, ``logdet = ln|Sigma|`` and
+    ``q_gamma = gamma' Sigma^-1 gamma``.  :meth:`capped` then adds what
+    depends on nu.
+    """
 
-def _residuals(params, y, y_prev):
-    return np.asarray(y, dtype=float) - params.location(y_prev)
+    d: int
+    delta: np.ndarray
+    lin: np.ndarray
+    logdet: float
+    q_gamma: float
 
+    @classmethod
+    def of(cls, params, y, y_prev=None) -> "Geometry":
+        """Geometry of a single observation (d,) or a block (n, d)."""
+        resid = np.atleast_2d(np.asarray(y, dtype=float) - params.location(y_prev))
+        chol_l = _chol_lower(params.sigma)
+        w = linalg.solve_triangular(chol_l, resid.T, lower=True).T
+        g = linalg.solve_triangular(chol_l, params.gamma, lower=True)
+        return cls(d=params.d, delta=np.sqrt(np.sum(w * w, axis=1)), lin=w @ g,
+                   logdet=2.0 * float(np.sum(np.log(np.diag(chol_l)))),
+                   q_gamma=float(g @ g))
 
-def _quad_form_gamma(params, chol_l) -> float:
-    g = linalg.solve_triangular(chol_l, params.gamma, lower=True)
-    return float(g @ g)
+    def capped(self, nu: float, guard: CenterGuard | None = None):
+        """``(psi, eta, delta, guarded)`` at shape ``nu``.
+
+        psi = sqrt(2 nu + Q) and eta = nu - d/2; rows with delta * psi below
+        the guard's threshold are marked in ``guarded`` and carry the
+        substituted distance threshold / psi.  ``guard=None`` means
+        :meth:`CenterGuard.default_for_dim`.
+        """
+        if guard is None:
+            guard = CenterGuard.default_for_dim(self.d)
+        psi = math.sqrt(2.0 * nu + self.q_gamma)
+        guarded = self.delta * psi < guard.delta_cap
+        delta = np.where(guarded, guard.delta_cap / psi, self.delta)
+        return psi, nu - 0.5 * self.d, delta, guarded
+
+    def log_density(self, nu: float, guard: CenterGuard | None = None) -> np.ndarray:
+        """Capped log density of every row at shape ``nu``."""
+        d = self.d
+        psi, eta, delta, _ = self.capped(nu, guard)
+        const = ((1.0 - nu) * math.log(2.0) + 0.5 * d * math.log(nu)
+                 - 0.5 * self.logdet - 0.5 * d * math.log(math.pi) - float(gammaln(nu)))
+        return (const + eta * (np.log(delta) + math.log(2.0 * nu) - math.log(psi))
+                + log_bessel_k(eta, delta * psi) + self.lin)
 
 
 def mahalanobis_delta(params, y, y_prev=None):
     """Mahalanobis distance delta of each observation under the scale matrix.
 
-    Computed through a triangular factorization of Sigma (never an explicit
-    inverse).  Accepts a single observation (d,) or a block (n, d).
+    Accepts a single observation (d,) or a block (n, d).
     """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    resid = np.atleast_2d(_residuals(params, y, y_prev))
-    chol_l = _chol_lower(params.sigma)
-    w = _whiten(chol_l, resid)
-    delta = np.sqrt(np.sum(w * w, axis=1))
-    return float(delta[0]) if single else delta
-
-
-def _capped_delta(delta, psi, guard: CenterGuard):
-    guarded = delta * psi < guard.delta_cap
-    return np.where(guarded, guard.delta_cap / psi, delta), guarded
+    delta = Geometry.of(params, y, y_prev).delta
+    return float(delta[0]) if np.ndim(y) == 1 else delta
 
 
 def log_density(params, y, guard: CenterGuard | None = None, y_prev=None):
@@ -212,32 +255,8 @@ def log_density(params, y, guard: CenterGuard | None = None, y_prev=None):
     distance delta* = cap / psi, so the result is finite for every input,
     including y exactly at the location when nu <= d/2.
     """
-    d = params.d
-    if guard is None:
-        guard = CenterGuard.default_for_dim(d)
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    resid = np.atleast_2d(_residuals(params, y, y_prev))
-    nu = params.nu
-    chol_l = _chol_lower(params.sigma)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_l))))
-    q_gamma = _quad_form_gamma(params, chol_l)
-    psi = math.sqrt(2.0 * nu + q_gamma)
-    eta = nu - 0.5 * d
-
-    w = _whiten(chol_l, resid)
-    delta = np.sqrt(np.sum(w * w, axis=1))
-    delta, _ = _capped_delta(delta, psi, guard)
-    # (y - loc)' Sigma^-1 gamma via the same factor
-    g = linalg.solve_triangular(chol_l, params.gamma, lower=True)
-    lin = w @ g
-
-    const = ((1.0 - nu) * math.log(2.0) + 0.5 * d * math.log(nu)
-             - 0.5 * logdet - 0.5 * d * math.log(math.pi) - float(gammaln(nu)))
-    z = delta * psi
-    out = (const + eta * (np.log(delta) + math.log(2.0 * nu) - math.log(psi))
-           + log_bessel_k(eta, z) + lin)
-    return float(out[0]) if single else out
+    out = Geometry.of(params, y, y_prev).log_density(params.nu, guard)
+    return float(out[0]) if np.ndim(y) == 1 else out
 
 
 def moments(params: MsvgParams):
@@ -279,6 +298,23 @@ def sample(params, n: int, seed: int, y0=None) -> np.ndarray:
     return params.mu + lam[:, None] * params.gamma + np.sqrt(lam)[:, None] * noise
 
 
+def _gig_first_moments(eta: float, z, log_dp):
+    """``(E(lam), E(1/lam), ln K_|eta|(z))`` of the GIG posterior.
+
+    ``log_dp`` is ln(delta/psi).  Both adjacent-order ratios come from two
+    evaluations and the recurrence K_{a+1}/K_a = 2a/z + K_{a-1}/K_a (all
+    terms positive for a >= 0).
+    """
+    a = abs(eta)
+    lk_a = np.asarray(log_bessel_k(a, z))
+    base = np.exp(np.asarray(log_bessel_k(abs(a - 1.0), z)) - lk_a)
+    rec = 2.0 * a / z + base
+    ratio_up, ratio_dn = (rec, base) if eta >= 0 else (base, rec)
+    e_lam = np.exp(np.clip(log_dp + np.log(ratio_up), -_LOG_CLIP, _LOG_CLIP))
+    e_inv = np.exp(np.clip(-log_dp + np.log(ratio_dn), -_LOG_CLIP, _LOG_CLIP))
+    return e_lam, e_inv, lk_a
+
+
 def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
                              y_prev=None, need_log: bool = True) -> MixingExpectations:
     """Conditional moments of the mixing weight given each observation.
@@ -295,30 +331,10 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
     skips E(log lam) (eliminating the order-derivative evaluations) for the
     cycle stages that only consume the first two moments.
     """
-    d = params.d
-    if guard is None:
-        guard = CenterGuard.default_for_dim(d)
-    nu = params.nu
-    chol_l = _chol_lower(params.sigma)
-    q_gamma = _quad_form_gamma(params, chol_l)
-    psi = math.sqrt(2.0 * nu + q_gamma)
-    eta = nu - 0.5 * d
-
-    delta = np.atleast_1d(mahalanobis_delta(params, y, y_prev))
-    delta, guarded = _capped_delta(delta, psi, guard)
+    psi, eta, delta, guarded = Geometry.of(params, y, y_prev).capped(params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
-
-    # both adjacent-order ratios from two evaluations and the recurrence
-    # K_{a+1}/K_a = 2a/z + K_{a-1}/K_a (all terms positive for a >= 0)
-    a = abs(eta)
-    lk_a = np.asarray(log_bessel_k(a, z))
-    lk_b = np.asarray(log_bessel_k(abs(a - 1.0), z))
-    base = np.exp(lk_b - lk_a)
-    rec = 2.0 * a / z + base
-    ratio_up, ratio_dn = (rec, base) if eta >= 0 else (base, rec)
-    e_lam = np.exp(np.clip(log_dp + np.log(ratio_up), -_LOG_CLIP, _LOG_CLIP))
-    e_inv = np.exp(np.clip(-log_dp + np.log(ratio_dn), -_LOG_CLIP, _LOG_CLIP))
+    e_lam, e_inv, lk_a = _gig_first_moments(eta, z, log_dp)
     if need_log:
         h = OrderDiffStep().h
         d1 = (np.exp(np.asarray(log_bessel_k(eta + h, z)) - lk_a)

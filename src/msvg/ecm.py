@@ -37,14 +37,11 @@ from scipy import optimize
 
 from .distribution import (
     CenterGuard,
+    Geometry,
     MixingExpectations,
     MsvgParams,
-    _capped_delta,
-    _chol_lower,
-    _quad_form_gamma,
     location_tag,
     log_density,
-    mahalanobis_delta,
     posterior_lambda_moments,
 )
 from .specfun import digamma, log_gamma, trigamma
@@ -314,10 +311,15 @@ def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float,
 def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
                        guard: CenterGuard, y_prev: np.ndarray | None = None) -> float:
     """Shape update maximising the actual (capped) log-likelihood by
-    bounded golden-section / parabolic-interpolation search."""
+    bounded golden-section / parabolic-interpolation search.
+
+    Only the shape varies, so Sigma is factorised and the residuals are
+    whitened once; each trial costs one Bessel evaluation.
+    """
+    geometry = Geometry.of(params, data, y_prev)
+
     def negll(nu: float) -> float:
-        trial = replace(params, nu=float(nu))
-        return -float(_osum(log_density(trial, data, guard=guard, y_prev=y_prev)))
+        return -float(_osum(geometry.log_density(float(nu), guard)))
 
     res = optimize.minimize_scalar(negll, bounds=bounds, method="bounded",
                                    options={"xatol": 1e-6})
@@ -332,11 +334,7 @@ def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,
     ``data`` is the conditioning state: it enters only as a regressor and
     is excluded from the sum.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if params.ar and y_prev is None:
-        y, y_prev = data[1:], data[:-1]
-    else:
-        y = data
+    y, y_prev = params.modelled_rows(data, y_prev)
     return float(_osum(log_density(params, y, guard=guard, y_prev=y_prev)))
 
 
@@ -495,10 +493,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
             RuntimeWarning)
 
     # guarded count at the final iterate, by the E-step's rule
-    psi = math.sqrt(2.0 * params.nu
-                    + _quad_form_gamma(params, _chol_lower(params.sigma)))
-    _, guarded = _capped_delta(mahalanobis_delta(params, y, y_prev=y_prev), psi, guard)
-    guarded_final = int(np.sum(guarded))
+    _, _, _, guarded = Geometry.of(params, y, y_prev).capped(params.nu, guard)
 
     return FitReport(
         params=final_params,
@@ -507,7 +502,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
         conv_iter=conv_iter,
         switch_iter=switch_iter,
         wall_time=time.perf_counter() - t0,
-        guarded_count_final=guarded_final,
+        guarded_count_final=int(np.sum(guarded)),
         converged=converged,
         algorithm=algorithm,
         n_obs=n_eff,

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (
-    CenterGuard,
-    MsvgParams,
-    _capped_delta,
-    _chol_lower,
-    mahalanobis_delta,
-)
+from .distribution import CenterGuard, Geometry, MsvgParams, _gig_first_moments
 from .specfun import (
     bessel_k_order_derivative_over_k,
     digamma,
@@ -123,17 +117,7 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
     """
     if kind not in ("plain", "times_log", "log_squared"):
         raise ValueError(f"unknown kind {kind!r}")
-    d = params.d
-    if guard is None:
-        guard = CenterGuard.default_for_dim(d)
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    chol_l = _chol_lower(params.sigma)
-    g = np.linalg.solve(chol_l, params.gamma)
-    psi = math.sqrt(2.0 * params.nu + float(g @ g))
-    eta = params.nu - 0.5 * d
-    delta = np.atleast_1d(mahalanobis_delta(params, y, y_prev))
-    delta, _ = _capped_delta(delta, psi, guard)
+    psi, eta, delta, _ = Geometry.of(params, y, y_prev).capped(params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
 
@@ -142,6 +126,9 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
             d1 = bessel_k_order_derivative_over_k(eta, z, degree=1)
             d2 = bessel_k_order_derivative_over_k(eta, z, degree=2)
             out = log_dp ** 2 + d2 + 2.0 * log_dp * d1
+        elif kind == "plain" and abs(k) == 1.0:
+            # the E-step's own route, so both see the same E(lam), E(1/lam)
+            out = _gig_first_moments(eta, z, log_dp)[0 if k > 0 else 1]
         else:
             plain = np.exp(k * log_dp + np.asarray(log_bessel_k(eta + k, z))
                            - np.asarray(log_bessel_k(eta, z)))
@@ -150,7 +137,7 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
             else:
                 d1 = bessel_k_order_derivative_over_k(eta + k, z, degree=1)
                 out = plain * (d1 + log_dp)
-    return float(out[0]) if single else out
+    return float(out[0]) if np.ndim(y) == 1 else out
 
 
 def _design(params, data, y_prev):
@@ -309,13 +296,7 @@ def observed_info(params, data, y_prev=None,
     For AR parameters without an explicit lagged block, the first row of
     ``data`` conditions the fit, matching :func:`msvg.ecm.observed_loglik`.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if params.ar and y_prev is None:
-        y, y_prev = data[1:], data[:-1]
-    else:
-        y = data
-    if guard is None:
-        guard = CenterGuard.default_for_dim(params.d)
+    y, y_prev = params.modelled_rows(data, y_prev)
 
     def moment(k, kind):
         vals = np.atleast_1d(conditional_lambda_moment(

@@ -137,6 +137,16 @@ class TestSimulate:
         assert run_cli("simulate", sidecar, "--out", tmp_path / "b") == 0
         assert (tmp_path / "b" / "study.csv").read_bytes() == study
 
+    def test_flagged_study_exits_one(self, tmp_path, capsys):
+        # one cycle cannot converge: every replicate fails and the cell is flagged
+        spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, "fit": {"max_iter": 1}})
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 1
+        assert "(1 flagged cell(s))" in capsys.readouterr().out
+        rows = (tmp_path / "o" / "study.csv").read_text().splitlines()
+        stats = {line.split(",")[3]: float(line.split(",")[4]) for line in rows[1:]}
+        assert stats["n_failed"] == TINY_SPEC["r"]
+        assert stats["flagged"] == 1.0
+
     def test_invalid_json(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{not json")

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import msvg
 from msvg.distribution import CenterGuard, MsvgParams, posterior_lambda_moments, sample
@@ -10,6 +11,7 @@ from msvg.ecm import (
     DegenerateMixingError,
     FitConfig,
     SuffStats,
+    _osum,
     accumulate_suff_stats,
     cm_step_ar,
     cm_step_location_skew,
@@ -305,6 +307,24 @@ class TestShapeSteps:
         q = MsvgParams(mu=[-1.0 / 3.0], sigma=[[8.0 / 9.0]], gamma=[0.0], nu=1.0)
         nu = cm_step_shape_ecme(y, q, (1e-4, 200.0), CenterGuard(1e-4))
         assert nu == pytest.approx(200.0, abs=1e-3)
+
+    @pytest.mark.parametrize("ar", [False, True], ids=["plain", "ar1"])
+    def test_ecme_equals_per_trial_density_search(self, ar):
+        true = replace(BASE, nu=1.5, beta1=[[0.4, 0.1], [-0.2, 0.3]] if ar else None)
+        x = sample(true, 501, seed=32)
+        y, y_prev = (x[1:], x[:-1]) if ar else (x, None)
+        start = replace(true, mu=np.array([0.05, -0.1]), nu=4.0)
+        guard = CenterGuard(1e-3)
+        bounds = (1e-4, 200.0)
+
+        # the bounded search written out with one full density per trial,
+        # summed in the shape step's order-canonical way
+        def negll(v):
+            return -float(_osum(msvg.log_density(replace(start, nu=v), y, guard, y_prev)))
+
+        ref = optimize.minimize_scalar(negll, bounds=bounds, method="bounded",
+                                       options={"xatol": 1e-6})
+        assert cm_step_shape_ecme(y, start, bounds, guard, y_prev=y_prev) == float(ref.x)
 
     def test_ecme_agrees_with_converged_mcecm(self):
         # near a stationary point the actual-likelihood shape step barely

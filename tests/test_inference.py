@@ -108,6 +108,50 @@ class TestConditionalMoments:
             conditional_lambda_moment(BASE, np.zeros(2), kind="bogus")
 
 
+class TestGuardedRegimeConsistency:
+    """nu = 0.6 < d/2: the density is unbounded at the location, and the
+    E-step, the density, the information moments and the fit's final count
+    must agree on which rows sit in the delta region."""
+
+    P = MsvgParams(mu=[0.1, -0.2], sigma=[[1.0, 0.3], [0.3, 0.8]],
+                   gamma=[0.2, -0.1], nu=0.6)
+    GUARD = CenterGuard(0.3)
+
+    @pytest.fixture(scope="class")
+    def y(self):
+        y = sample(self.P, 200, seed=3)
+        y[0] = self.P.mu            # a row exactly at the location
+        return y
+
+    @pytest.fixture(scope="class")
+    def mix(self, y):
+        mix = msvg.posterior_lambda_moments(self.P, y, guard=self.GUARD)
+        assert mix.guarded[0] and 0 < mix.guarded.sum() < len(y)
+        return mix
+
+    def test_information_moments_equal_e_step(self, y, mix):
+        np.testing.assert_array_equal(
+            conditional_lambda_moment(self.P, y, k=1.0, kind="plain", guard=self.GUARD),
+            mix.e_lambda)
+        np.testing.assert_array_equal(
+            conditional_lambda_moment(self.P, y, k=-1.0, kind="plain", guard=self.GUARD),
+            mix.e_inv_lambda)
+
+    def test_e_step_mask_is_where_the_density_is_capped(self, y, mix):
+        # a threshold no row but the one at the location falls under leaves
+        # every unguarded row's density as it is
+        capped = (msvg.log_density(self.P, y, self.GUARD)
+                  != msvg.log_density(self.P, y, CenterGuard(1e-300)))
+        np.testing.assert_array_equal(mix.guarded, capped)
+
+    def test_fit_final_count_equals_e_step_count(self, y):
+        # scale_c = 1: the reported estimate is the final iterate itself
+        report = fit(y, FitConfig(algorithm="mcecm", max_iter=3, scale_c=1.0,
+                                  delta_cap=self.GUARD.delta_cap))
+        final = msvg.posterior_lambda_moments(report.params, y, guard=self.GUARD)
+        assert report.guarded_count_final == int(final.guarded.sum()) > 0
+
+
 class TestCompleteScore:
     def test_scalar_toy_hand_computed(self):
         p = MsvgParams(mu=[0.2], sigma=[[0.8]], gamma=[0.4], nu=1.5)
