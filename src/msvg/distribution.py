@@ -39,12 +39,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 from scipy.special import gammaln
 
 from .specfun import OrderDiffStep, log_bessel_k
 
 # exp() clamp keeping posterior moments positive and finite in extreme tails
 _LOG_CLIP = 700.0
+# Residuals are whitened by BLAS trsm in blocks of at most this many entries.
+# OpenBLAS threads trsm only above about 1024 entries, while LAPACK trtrs
+# (behind linalg.solve_triangular) wakes the BLAS thread pool on every call,
+# even for a 3 x 58 block, and leaves a worker spinning on another core that
+# the Bessel kernel's threads need.  trsm solves each column alone, so the
+# blocks give the same bits as one solve of the whole block.
+_TRSM_ENTRIES = 1000
 
 
 @dataclass
@@ -207,8 +215,13 @@ class Geometry:
     def of(cls, params, y, y_prev=None) -> "Geometry":
         """Geometry of a single observation (d,) or a block (n, d)."""
         resid = np.atleast_2d(np.asarray(y, dtype=float) - params.location(y_prev))
+        if not np.all(np.isfinite(resid)):
+            raise ValueError("observations must be finite")
         chol_l = _chol_lower(params.sigma)
-        w = linalg.solve_triangular(chol_l, resid.T, lower=True).T
+        rows = max(1, _TRSM_ENTRIES // params.d)
+        w = np.empty_like(resid)
+        for i in range(0, len(resid), rows):
+            w[i:i + rows] = blas.dtrsm(1.0, chol_l, resid[i:i + rows].T, lower=1).T
         g = linalg.solve_triangular(chol_l, params.gamma, lower=True)
         return cls(d=params.d, delta=np.sqrt(np.sum(w * w, axis=1)), lin=w @ g,
                    logdet=2.0 * float(np.sum(np.log(np.diag(chol_l)))),

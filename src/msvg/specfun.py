@@ -15,11 +15,23 @@ recovered by the upward order recurrence
 
 run entirely in log space from two fractional-order rungs.  All terms of
 the recurrence are positive for a >= 0, so the forward direction is stable.
+
+``kve`` releases the GIL, so a block of at least 2 * 2048 arguments is cut
+into contiguous chunks of 2048 that the calling thread and up to
+:func:`thread_count` - 1 pool threads take in turn; the evaluation is
+elementwise, so the result equals the one-thread evaluation bit for bit.
+Smaller blocks stay on the calling thread.  The pool is created on first
+use; a forked child drops the pool it inherited (its threads do not exist
+there) and creates its own.  The worker processes of a study run the kernel
+on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +47,103 @@ class OrderDiffStep:
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"order-difference step must be positive, got {self.h}")
+
+
+# arguments per chunk, about a millisecond of kve; a block is split only
+# when it holds two chunks or more
+_CHUNK = 2048
+# the chunk threads, created and sized by the first block that is split
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def thread_count() -> int:
+    """Threads of the Bessel kernel and processes of a study.
+
+    ``MSVG_THREADS``; unset, 0, negative or not an integer means
+    min(cpu_count, 8).
+    """
+    try:
+        requested = int(os.environ.get("MSVG_THREADS", "0"))
+    except ValueError:
+        requested = 0
+    if requested <= 0:
+        return min(os.cpu_count() or 1, 8)
+    return requested
+
+
+def _drop_pool() -> None:
+    # a forked child has none of the parent's threads, and the lock may have
+    # been held by one of them at the fork
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _current_cpu() -> int | None:
+    # Linux only: field 39 of the stat line is the CPU the thread last ran on
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave_cpu(cpu: int | None) -> None:
+    # A woken thread may be placed on the CPU of the thread that woke it and
+    # stay there while another vCPU idles, taking turns with its caller (on
+    # a 2-vCPU VM every chunk ran on the caller's CPU); so the chunk threads
+    # keep off the CPU their pool was created from.
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (AttributeError, OSError):
+        pass
+
+
+def _kernel_pool(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="msvg-bessel",
+                                       initializer=_leave_cpu,
+                                       initargs=(_current_cpu(),))
+        return _pool
+
+
+def _log_kve(order: float, z: np.ndarray) -> np.ndarray:
+    # errstate is thread-local, so every chunk sets its own
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.log(sp.kve(order, z)) - z
+
+
+def _fill(order: float, z: np.ndarray, parts: list, chunks) -> None:
+    # ``chunks`` may be shared between threads: next() on a range iterator
+    # is atomic under the GIL, so each chunk is taken once
+    for k in chunks:
+        parts[k] = _log_kve(order, z[k * _CHUNK:(k + 1) * _CHUNK])
+
+
+def _log_kve_split(order: float, z: np.ndarray) -> np.ndarray:
+    threads = min(thread_count(), z.size // _CHUNK)
+    if threads == 1:
+        return _log_kve(order, z)
+    parts = [None] * ((z.size + _CHUNK - 1) // _CHUNK)
+    chunks = iter(range(len(parts)))
+    pool = _kernel_pool(threads - 1)
+    for _ in range(threads - 1):
+        pool.submit(_fill, order, z, parts, chunks)
+    _fill(order, z, parts, chunks)
+    # The caller never waits for a chunk thread: a chunk one still holds (its
+    # vCPU may be descheduled for milliseconds) is computed here as well, so
+    # the futures need not be read.  A late result only replaces an entry by
+    # the same values.
+    _fill(order, z, parts, (k for k, part in enumerate(parts) if part is None))
+    return np.concatenate(parts)
 
 
 def _check_z(z: np.ndarray) -> None:
@@ -77,7 +186,8 @@ def log_bessel_k(order: float, z):
     """ln K_order(z) for real order and z > 0.
 
     Uses the symmetry K_{-v} = K_v.  Vectorized over ``z``; the order is a
-    scalar.  Finite for all z in (0, 1e8] and |order| <= 300.
+    scalar.  Large blocks are split across threads (see the module notes).
+    Finite for all z in (0, 1e8] and |order| <= 300.
     """
     if not math.isfinite(order):
         raise ValueError("bessel order must be finite")
@@ -85,8 +195,7 @@ def log_bessel_k(order: float, z):
     scalar = np.isscalar(z)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     _check_z(z)
-    with np.errstate(over="ignore", divide="ignore"):
-        out = np.log(sp.kve(order, z)) - z
+    out = _log_kve_split(order, z) if z.size >= 2 * _CHUNK else _log_kve(order, z)
     bad = ~np.isfinite(out)
     if np.any(bad):
         for i in np.flatnonzero(bad):

@@ -4,9 +4,17 @@ threshold/skewness sweeps with aggregate tables.
 Every cell of a study is a (algorithm, delta threshold, skew level) triple.
 Replicate datasets depend only on the base seed, the replicate index and
 the cell's true parameters, so the same datasets are refitted across
-algorithms and across delta levels.  Replicates may run in parallel
-(``MSVG_THREADS`` caps the workers, 0 = auto); aggregation folds over the
-replicate index, so the output is identical regardless of scheduling.
+algorithms and across delta levels.  Replicates may run in parallel;
+aggregation folds over the replicate index, so the output is identical
+regardless of scheduling.  ``MSVG_THREADS`` (0 = auto, see
+:func:`msvg.specfun.thread_count`) caps both the worker processes of a study
+and the threads of the Bessel kernel; the workers already fill the cores, so
+each runs its kernel on one thread.
+
+The sidecar written next to the table records, per cell, the summed fit wall
+time (``cell_wall_times``) and how often each reason ended a failed
+replicate (``cell_failure_reasons``: the exception text, or "not converged"
+for a fit that reached ``max_iter``).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import json
 import os
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -23,6 +32,7 @@ import numpy as np
 from .distribution import MsvgParams, sample
 from .ecm import FitConfig, fit
 from .inference import flatten_params, param_labels
+from .specfun import thread_count as _worker_count
 
 
 @dataclass
@@ -71,17 +81,8 @@ def _run_replicate(task):
     return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MSVG_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 0
-    if requested < 0:
-        requested = 0
-    if requested == 0:
-        return min(os.cpu_count() or 1, 8)
-    return requested
+def _one_kernel_thread() -> None:
+    os.environ["MSVG_THREADS"] = "1"
 
 
 def _map_tasks(tasks):
@@ -89,7 +90,8 @@ def _map_tasks(tasks):
     if workers <= 1 or len(tasks) <= 1:
         return [_run_replicate(t) for t in tasks]
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_kernel_thread) as pool:
             return list(pool.map(_run_replicate, tasks))
     except (OSError, RuntimeError) as exc:
         warnings.warn(f"parallel replicates unavailable ({exc}); running serially",
@@ -181,6 +183,11 @@ def _aggregate_cell(results, labels) -> dict[str, float]:
     return stats
 
 
+def _failure_reasons(results) -> dict[str, int]:
+    reasons = Counter(r.get("error", "not converged") for r in results if not r["converged"])
+    return dict(sorted(reasons.items()))
+
+
 def run_study(spec: StudySpec) -> StudyTable:
     """Fit every (algorithm, delta, gamma) cell over shared replicate datasets."""
     t0 = time.perf_counter()
@@ -190,6 +197,7 @@ def run_study(spec: StudySpec) -> StudyTable:
 
     rows: list[dict] = []
     wall_times: dict[str, float] = {}
+    failures: dict[str, dict[str, int]] = {}
     for gamma in gammas:
         cell_true = replace(spec.true_params, gamma=np.asarray(gamma, dtype=float))
         seeds = [replicate_seed(spec.base_seed, i) for i in range(spec.r)]
@@ -203,14 +211,17 @@ def run_study(spec: StudySpec) -> StudyTable:
                 gamma_key = "|".join(repr(float(g)) for g in np.asarray(gamma))
                 delta_key = repr(float(delta)) if delta is not None else "default"
                 # timing lives in the sidecar: the CSV stays byte-stable
-                wall_times[f"{algorithm},{delta_key},{gamma_key}"] = round(
+                cell_key = f"{algorithm},{delta_key},{gamma_key}"
+                wall_times[cell_key] = round(
                     sum(r.get("wall_time", 0.0) for r in results), 3)
+                failures[cell_key] = _failure_reasons(results)
                 for name, value in stats.items():
                     rows.append({"algorithm": algorithm, "delta": delta_key,
                                  "gamma": gamma_key, "statistic": name,
                                  "value": value})
     table = StudyTable(rows=rows, spec_json=_spec_to_json(spec))
     table.spec_json["cell_wall_times"] = wall_times
+    table.spec_json["cell_failure_reasons"] = failures
     table.spec_json["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     return table
 

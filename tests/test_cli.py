@@ -146,6 +146,11 @@ class TestSimulate:
         stats = {line.split(",")[3]: float(line.split(",")[4]) for line in rows[1:]}
         assert stats["n_failed"] == TINY_SPEC["r"]
         assert stats["flagged"] == 1.0
+        sidecar = json.loads((tmp_path / "o" / "study_spec.json").read_text())
+        reasons = sidecar["cell_failure_reasons"]
+        assert reasons
+        for cell in reasons.values():
+            assert cell == {"not converged": TINY_SPEC["r"]}
 
     def test_invalid_json(self, tmp_path):
         spec = tmp_path / "spec.json"

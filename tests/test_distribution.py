@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from msvg.distribution import (
     CenterGuard,
+    Geometry,
     MsvgParams,
     density_grid,
     log_density,
@@ -93,6 +95,43 @@ class TestMahalanobis:
         p.sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             mahalanobis_delta(p, np.array([1.0, 1.0]))
+
+
+class TestWhitening:
+    @pytest.mark.parametrize("ar", [False, True], ids=["plain", "ar1"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_blocked_solve_equals_one_solve(self, d, ar):
+        # n = 2345 spans several whitening blocks and a short last one
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        p = MsvgParams(mu=rng.standard_normal(d), sigma=a @ a.T + d * np.eye(d),
+                       gamma=rng.standard_normal(d), nu=1.7,
+                       beta1=0.3 * np.eye(d) if ar else None)
+        y = 2.0 * rng.standard_normal((2345, d))
+        y_prev = rng.standard_normal((2345, d)) if ar else None
+        geom = Geometry.of(p, y, y_prev)
+        chol = linalg.cholesky(0.5 * (p.sigma + p.sigma.T), lower=True)
+        w = linalg.solve_triangular(chol, (y - p.location(y_prev)).T, lower=True).T
+        g = linalg.solve_triangular(chol, p.gamma, lower=True)
+        np.testing.assert_array_equal(geom.delta, np.sqrt(np.sum(w * w, axis=1)))
+        np.testing.assert_array_equal(geom.lin, w @ g)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_row_raises(self, bad):
+        p = base_params()
+        y = np.ones((50, 2))
+        y[17, 1] = bad
+        for fn in (log_density, mahalanobis_delta, posterior_lambda_moments):
+            with pytest.raises(ValueError):
+                fn(p, y)
+
+    def test_single_row_equals_row_of_block(self):
+        p = MsvgParams(mu=np.zeros(5), sigma=0.3 + 0.7 * np.eye(5),
+                       gamma=[0.1, 0.2, 0.3, 0.4, 0.5], nu=2.5)
+        y = sample(p, 40, seed=4)
+        block = log_density(p, y)
+        for i in range(len(y)):
+            assert log_density(p, y[i]) == block[i]
 
 
 class TestLogDensity:

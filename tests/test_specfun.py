@@ -1,8 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from msvg import specfun
 from msvg.specfun import (
     OrderDiffStep,
     bessel_k_order_derivative,
@@ -77,6 +86,119 @@ class TestLogBesselK:
             log_bessel_k(1.0, math.nan)
         with pytest.raises(ValueError):
             log_bessel_k(math.inf, 1.0)
+
+
+# parent: evaluate a block large enough to start the kernel's thread pool;
+# then a forked child, which inherits the pool object but not its threads,
+# evaluates the same block and must start a pool thread of its own (one
+# reusing the inherited pool would queue its chunks there forever)
+FORK_SCRIPT = textwrap.dedent("""
+    import multiprocessing, sys, threading
+    import numpy as np
+    from msvg.specfun import log_bessel_k
+
+    def child(z):
+        return log_bessel_k(1.5, z), threading.active_count()
+
+    if __name__ == "__main__":
+        z = np.linspace(0.01, 40.0, 10_000)
+        parent = log_bessel_k(1.5, z)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            out, threads = pool.apply_async(child, (z,)).get(timeout=60)
+        sys.exit(0 if np.array_equal(parent, out) and threads > 1 else 3)
+""")
+
+
+def kernel_points(order: float, n: int = 10_000) -> np.ndarray:
+    z = np.geomspace(1e-3, 60.0, n)
+    if order >= 100:
+        # kve overflows for small arguments at this order: every 97th point
+        # takes the order ladder, so every chunk holds some
+        z = np.linspace(250.0, 400.0, n)
+        z[::97] = np.linspace(0.5, 2.0, z[::97].size)
+    return z
+
+
+class TestThreadedKernel:
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    @pytest.mark.parametrize("order", [0.3, 1.5, 14.1, 200.0])
+    def test_threads_bit_identical(self, monkeypatch, order, threads):
+        z = kernel_points(order)
+        monkeypatch.setenv("MSVG_THREADS", "1")
+        serial = log_bessel_k(order, z)
+        monkeypatch.setenv("MSVG_THREADS", threads)
+        np.testing.assert_array_equal(log_bessel_k(order, z), serial)
+        assert np.all(np.isfinite(serial))
+        if order >= 100:
+            with np.errstate(over="ignore"):
+                assert np.any(np.isinf(specfun.sp.kve(order, z)))
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more calling threads than cores, switching often, all splitting
+        # their blocks into the one shared pool
+        orders = [0.3, 1.5, 14.1, 200.0] * 2
+        monkeypatch.setenv("MSVG_THREADS", "1")
+        serial = [log_bessel_k(o, kernel_points(o)) for o in orders]
+        monkeypatch.setenv("MSVG_THREADS", "3")
+        monkeypatch.setattr(specfun, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as callers:
+                futures = [callers.submit(log_bessel_k, o, kernel_points(o))
+                           for o in orders]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(threaded, serial):
+            np.testing.assert_array_equal(a, b)
+
+    def test_small_block_stays_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_pool", None)
+        monkeypatch.setenv("MSVG_THREADS", "2")
+        log_bessel_k(0.7, np.linspace(0.1, 5.0, 4095))
+        assert specfun._pool is None
+        log_bessel_k(0.7, np.linspace(0.1, 5.0, 4096))
+        assert specfun._pool is not None
+
+    def test_caller_does_not_wait_for_a_busy_pool(self, monkeypatch):
+        # the only pool thread is held elsewhere: the caller computes every
+        # chunk itself instead of waiting for it
+        release = threading.Event()
+        pool = ThreadPoolExecutor(max_workers=1)
+        pool.submit(release.wait, 60)
+        monkeypatch.setattr(specfun, "_pool", pool)
+        monkeypatch.setenv("MSVG_THREADS", "2")
+        z = kernel_points(1.5)
+        t0 = time.perf_counter()
+        try:
+            out = log_bessel_k(1.5, z)
+            elapsed = time.perf_counter() - t0
+        finally:
+            release.set()
+            pool.shutdown()
+        assert elapsed < 30
+        monkeypatch.setenv("MSVG_THREADS", "1")
+        np.testing.assert_array_equal(out, log_bessel_k(1.5, z))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two CPUs")
+    def test_pool_threads_leave_the_creating_cpu(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_pool", None)
+        allowed = os.sched_getaffinity(0)
+        pool = specfun._kernel_pool(1)
+        mask = pool.submit(os.sched_getaffinity, 0).result(timeout=60)
+        assert mask < allowed and len(mask) == len(allowed) - 1
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_forked_child_does_not_reuse_the_pool(self):
+        src = str(Path(specfun.__file__).resolve().parents[1])
+        env = dict(os.environ, MSVG_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
 
 class TestBesselRatio:

@@ -115,14 +115,19 @@ class TestRunStudy:
         assert blob["true_params"]["nu"] == 2.5
 
     def test_parallel_matches_serial(self, monkeypatch):
-        spec = small_spec(r=3)
-        monkeypatch.setenv("MSVG_THREADS", "1")
-        serial = run_study(spec)
-        monkeypatch.setenv("MSVG_THREADS", "2")
-        parallel = run_study(spec)
-        s = {(r["statistic"]): r["value"] for r in serial.rows}
-        p = {(r["statistic"]): r["value"] for r in parallel.rows}
-        assert s == p
+        # the second spec's blocks reach the Bessel kernel's thread-split size
+        for spec in (small_spec(r=3),
+                     small_spec(n=4096, fit_config=FitConfig(algorithm="mcecm",
+                                                             max_iter=3))):
+            monkeypatch.setenv("MSVG_THREADS", "1")
+            serial = run_study(spec)
+            monkeypatch.setenv("MSVG_THREADS", "2")
+            parallel = run_study(spec)
+            s = {(r["statistic"]): r["value"] for r in serial.rows}
+            p = {(r["statistic"]): r["value"] for r in parallel.rows}
+            assert s == p
+            assert (serial.spec_json["cell_failure_reasons"]
+                    == parallel.spec_json["cell_failure_reasons"])
 
 
 class TestSweeps:
