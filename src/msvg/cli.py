@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,6 +72,45 @@ def _matrix_lines(name: str, mat: np.ndarray) -> list[str]:
     return lines
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def information_summary(info) -> dict | None:
+    """Extreme eigenvalues of the observed information, for the fit report.
+
+    ``None`` when the information could not be formed.  Non-finite numbers
+    are reported as ``None``, and so is the condition number of a matrix
+    that is not positive definite.
+    """
+    if info is None:
+        return None
+    if not np.all(np.isfinite(info.matrix)):
+        return {"min_eigenvalue": None, "max_eigenvalue": None,
+                "condition_number": None, "positive_definite": False}
+    eigs = np.linalg.eigvalsh(info.matrix)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    pd = lo > 0.0
+    return {
+        "min_eigenvalue": _finite_or_none(lo),
+        "max_eigenvalue": _finite_or_none(hi),
+        "condition_number": _finite_or_none(hi / lo) if pd else None,
+        "positive_definite": pd,
+    }
+
+
+def _information_line(summary: dict | None) -> str:
+    if summary is None:
+        return "information: unavailable"
+    def num(key):
+        return "n/a" if summary[key] is None else _fmt(summary[key])
+
+    return (f"information: min eigenvalue {num('min_eigenvalue')}  "
+            f"max eigenvalue {num('max_eigenvalue')}  "
+            f"condition number {num('condition_number')}  "
+            f"positive definite: {summary['positive_definite']}")
+
+
 def cmd_fit(args) -> int:
     panel = _load_panel(args)
     config = FitConfig(algorithm=args.algorithm, tol=args.tol,
@@ -83,11 +123,13 @@ def cmd_fit(args) -> int:
 
     ses: dict[str, float] = {}
     se_error = None
+    info = None
     try:
         info = observed_info(params, panel.values, guard=guard)
         ses = standard_errors(info)
     except Exception as exc:  # noqa: BLE001 - SEs are best-effort in the report
         se_error = f"{type(exc).__name__}: {exc}"
+    information = information_summary(info)
 
     k = n_free_params(params)
     ic = aicc(report.final_loglik, k, report.n_obs)
@@ -120,6 +162,7 @@ def cmd_fit(args) -> int:
         "corr_sigma": corr_sigma.tolist(),
         "corr_total": corr_total.tolist(),
         "guarded_count_final": report.guarded_count_final,
+        "information": information,
     }
 
     out = Path(args.out)
@@ -136,6 +179,7 @@ def cmd_fit(args) -> int:
         f"iterations: {report.conv_iter}"
         + (f"  switch_iter: {report.switch_iter}" if report.switch_iter else ""),
         f"loglik: {_fmt(report.final_loglik)}  AICc: {_fmt(ic)}  k: {k}",
+        _information_line(information),
         "",
         "estimate (standard error)",
     ]

@@ -26,6 +26,15 @@ eta and the guard mask for a given nu.  The density, the E-step, the
 information moments of :mod:`msvg.inference`, ECME's shape search and the
 fit's final guarded count all read them from there.
 
+A geometry lives for one parameter point (location, Sigma, gamma; nu is not
+part of it) and one data block.  The consumers that take it as the
+keyword ``geometry=`` -- :func:`posterior_lambda_moments`,
+:func:`msvg.ecm.observed_loglik`, :func:`msvg.ecm.cm_step_shape_ecme` and
+:func:`msvg.inference.conditional_lambda_moment` -- build their own when
+none is given.  A geometry carries the tag of the point it was built from
+(the bytes of mu, beta1, Sigma and gamma and the row count), and a consumer
+handed one built for another point raises ``ValueError``.
+
 The AR(1) mean variant is the same model with location beta0 + beta1 @ y_prev;
 :class:`MsvgParams` carries it as an optional lag matrix ``beta1``, with
 ``mu`` holding the intercept beta0, and :meth:`MsvgParams.location` is the
@@ -38,8 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 from scipy.special import gammaln
 
 from .specfun import OrderDiffStep, log_bessel_k
@@ -53,6 +61,10 @@ _LOG_CLIP = 700.0
 # the Bessel kernel's threads need.  trsm solves each column alone, so the
 # blocks give the same bits as one solve of the whole block.
 _TRSM_ENTRIES = 1000
+# ufuncs called directly: the np.all / np.sum wrappers cost more than the
+# reduction itself on the small blocks of a fit cycle
+_add = np.add.reduce
+_all = np.logical_and.reduce
 
 
 @dataclass
@@ -70,19 +82,20 @@ class MsvgParams:
     beta1: np.ndarray | None = None
 
     def __post_init__(self):
-        self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        self.sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        # np.array(..., ndmin=k, copy=None) is atleast_kd(asarray(...)) in one call
+        self.mu = np.array(self.mu, dtype=float, ndmin=1, copy=None)
+        self.sigma = np.array(self.sigma, dtype=float, ndmin=2, copy=None)
+        self.gamma = np.array(self.gamma, dtype=float, ndmin=1, copy=None)
         self.nu = float(self.nu)
         arrays = [self.mu, self.sigma, self.gamma]
         d = self.mu.shape[0]
         if self.ar:
-            self.beta1 = np.atleast_2d(np.asarray(self.beta1, dtype=float))
+            self.beta1 = np.array(self.beta1, dtype=float, ndmin=2, copy=None)
             arrays.append(self.beta1)
         if (self.sigma.shape != (d, d) or self.gamma.shape != (d,)
                 or (self.ar and self.beta1.shape != (d, d))):
             raise ValueError("parameter dimensions disagree")
-        if not all(np.all(np.isfinite(a)) for a in arrays):
+        if not all(_all(np.isfinite(a), axis=None) for a in arrays):
             raise ValueError("parameters must be finite")
         if not self.nu > 0:
             raise ValueError(f"shape parameter must be positive, got {self.nu}")
@@ -188,10 +201,29 @@ def location_tag(location, gamma) -> bytes:
             + np.ascontiguousarray(gamma, dtype=float).tobytes())
 
 
+def _point_tag(params, rows: int) -> bytes:
+    """Freshness token of a :class:`Geometry`: the bytes of mu, beta1, Sigma
+    and gamma, and the row count of the data block."""
+    parts = [params.mu, params.sigma, params.gamma]
+    if params.ar:
+        parts.append(params.beta1)
+    return b"".join([a.tobytes() for a in parts]) + rows.to_bytes(8, "little")
+
+
 def _chol_lower(sigma: np.ndarray) -> np.ndarray:
-    # CM-step round-off breaks exact symmetry; symmetrize before factorizing
+    # CM-step round-off breaks exact symmetry; symmetrize before factorizing.
+    # LAPACK potrf is what linalg.cholesky calls; its checks are kept here.
     sym = 0.5 * (sigma + sigma.T)
-    return linalg.cholesky(sym, lower=True)
+    if not _all(np.isfinite(sym), axis=None):
+        raise ValueError("array must not contain infs or NaNs")
+    chol_l, info = lapack.dpotrf(sym, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         f"argument on entry to \"POTRF\".")
+    return chol_l
 
 
 @dataclass(frozen=True)
@@ -203,6 +235,12 @@ class Geometry:
     ``lin = (y - location)' Sigma^-1 gamma``, ``logdet = ln|Sigma|`` and
     ``q_gamma = gamma' Sigma^-1 gamma``.  :meth:`capped` then adds what
     depends on nu.
+
+    One geometry serves every consumer at its parameter point: in a fit,
+    the one built after the scale step feeds the shape step, the cycle's
+    log-likelihood, the next cycle's first E-step and the final guarded
+    count.  ``tag`` (:func:`_point_tag`) names the point; :meth:`at` rejects
+    a geometry handed on to another point.
     """
 
     d: int
@@ -210,22 +248,35 @@ class Geometry:
     lin: np.ndarray
     logdet: float
     q_gamma: float
+    tag: bytes = field(repr=False)
 
     @classmethod
     def of(cls, params, y, y_prev=None) -> "Geometry":
         """Geometry of a single observation (d,) or a block (n, d)."""
         resid = np.atleast_2d(np.asarray(y, dtype=float) - params.location(y_prev))
-        if not np.all(np.isfinite(resid)):
+        if not _all(np.isfinite(resid), axis=None):
             raise ValueError("observations must be finite")
         chol_l = _chol_lower(params.sigma)
         rows = max(1, _TRSM_ENTRIES // params.d)
         w = np.empty_like(resid)
         for i in range(0, len(resid), rows):
             w[i:i + rows] = blas.dtrsm(1.0, chol_l, resid[i:i + rows].T, lower=1).T
-        g = linalg.solve_triangular(chol_l, params.gamma, lower=True)
-        return cls(d=params.d, delta=np.sqrt(np.sum(w * w, axis=1)), lin=w @ g,
-                   logdet=2.0 * float(np.sum(np.log(np.diag(chol_l)))),
-                   q_gamma=float(g @ g))
+        # trsv is the routine solve_triangular reaches for one right-hand side
+        g = blas.dtrsv(chol_l, params.gamma, lower=1)
+        return cls(d=params.d, delta=np.sqrt(_add(w * w, axis=1)), lin=w @ g,
+                   logdet=2.0 * float(_add(np.log(chol_l.diagonal()))),
+                   q_gamma=float(g @ g), tag=_point_tag(params, len(resid)))
+
+    @classmethod
+    def at(cls, params, y, y_prev=None, geometry: "Geometry | None" = None) -> "Geometry":
+        """``geometry`` once its tag is checked against ``params`` and the
+        rows of ``y``; a new geometry when None."""
+        if geometry is None:
+            return cls.of(params, y, y_prev)
+        if geometry.tag != _point_tag(params, 1 if np.ndim(y) == 1 else len(y)):
+            raise ValueError("geometry is stale: it was built for another "
+                             "parameter point or data block")
+        return geometry
 
     def capped(self, nu: float, guard: CenterGuard | None = None):
         """``(psi, eta, delta, guarded)`` at shape ``nu``.
@@ -323,13 +374,15 @@ def _gig_first_moments(eta: float, z, log_dp):
     base = np.exp(np.asarray(log_bessel_k(abs(a - 1.0), z)) - lk_a)
     rec = 2.0 * a / z + base
     ratio_up, ratio_dn = (rec, base) if eta >= 0 else (base, rec)
-    e_lam = np.exp(np.clip(log_dp + np.log(ratio_up), -_LOG_CLIP, _LOG_CLIP))
-    e_inv = np.exp(np.clip(-log_dp + np.log(ratio_dn), -_LOG_CLIP, _LOG_CLIP))
+    # np.minimum(np.maximum(.)) is np.clip without its wrapper
+    e_lam = np.exp(np.minimum(np.maximum(log_dp + np.log(ratio_up), -_LOG_CLIP), _LOG_CLIP))
+    e_inv = np.exp(np.minimum(np.maximum(-log_dp + np.log(ratio_dn), -_LOG_CLIP), _LOG_CLIP))
     return e_lam, e_inv, lk_a
 
 
 def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
-                             y_prev=None, need_log: bool = True) -> MixingExpectations:
+                             y_prev=None, need_log: bool = True, *,
+                             geometry: Geometry | None = None) -> MixingExpectations:
     """Conditional moments of the mixing weight given each observation.
 
     The posterior of lam_i is generalised inverse Gaussian with index
@@ -342,9 +395,11 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
     with eta = nu - d/2.  Observations inside the delta region use the
     substituted distance and are marked in ``guarded``.  ``need_log=False``
     skips E(log lam) (eliminating the order-derivative evaluations) for the
-    cycle stages that only consume the first two moments.
+    cycle stages that only consume the first two moments.  ``geometry`` is
+    that of ``params`` and ``y`` when the caller already holds it.
     """
-    psi, eta, delta, guarded = Geometry.of(params, y, y_prev).capped(params.nu, guard)
+    psi, eta, delta, guarded = Geometry.at(params, y, y_prev, geometry).capped(
+        params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
     e_lam, e_inv, lk_a = _gig_first_moments(eta, z, log_dp)

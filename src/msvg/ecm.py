@@ -19,6 +19,16 @@ the scale update stays bounded away from zero, and the scale estimate
 diverges.  Refreshing E(1/lam) at the new location keeps the product
 bounded.
 
+A cycle visits two parameter points: the extra E-step's (new location and
+skew, old scale), whose :class:`~msvg.distribution.Geometry` that E-step
+builds for itself, and the point after the scale step.  The geometry of
+the latter is built once, right after the scale step, and handed on with
+``geometry=`` to the second E-step (MCECM) or the ECME shape search, to
+the cycle's closing log-likelihood (the geometry does not depend on nu),
+to the next cycle's first E-step and, after the last cycle, to the final
+guarded count.  The fit's starting log-likelihood builds the first one;
+HECM's revert restores the geometry together with the iterate.
+
 Data are pre-multiplied by a constant (default 100) before fitting and the
 estimates mapped back afterwards; the family is closed under scaling, and
 working on the scaled data improves the conditioning of the updates for
@@ -62,9 +72,12 @@ def _osum(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
     Summands are sorted before reduction, so the result is bit-identical
     under any permutation of the observation axis; every estimate the
-    fitting loop reports is therefore independent of row order.
+    fitting loop reports is therefore independent of row order.  (What
+    np.sort and np.sum do, without their wrappers.)
     """
-    return np.sum(np.sort(a, axis=axis), axis=axis)
+    a = a.copy(order="K")
+    a.sort(axis=axis)
+    return np.add.reduce(a, axis=axis)
 
 
 @dataclass
@@ -242,13 +255,13 @@ def cm_step_scale(data: np.ndarray, location: np.ndarray, gamma: np.ndarray,
     w = refreshed_mix.e_inv_lambda
     sigma = _osum(w[:, None, None] * (resid[:, :, None] * resid[:, None, :])) / n \
         - np.outer(gamma, gamma) * (float(_osum(refreshed_mix.e_lambda)) / n)
-    if not np.all(np.isfinite(sigma)):
+    if not np.logical_and.reduce(np.isfinite(sigma), axis=None):
         raise ValueError("scale update produced non-finite entries")
     sigma = 0.5 * (sigma + sigma.T)
     # keep the estimate positive definite under round-off; the largest
     # eigenvalue backstops the floor when the trace itself is corrupt
     eigval, eigvec = np.linalg.eigh(sigma)
-    floor = 1e-12 * max(np.trace(sigma) / sigma.shape[0], abs(eigval[-1]), 1e-290)
+    floor = 1e-12 * max(sigma.trace() / sigma.shape[0], abs(eigval[-1]), 1e-290)
     if eigval[0] < floor:
         eigval = np.maximum(eigval, floor)
         sigma = (eigvec * eigval) @ eigvec.T
@@ -309,14 +322,16 @@ def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float,
 
 
 def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
-                       guard: CenterGuard, y_prev: np.ndarray | None = None) -> float:
+                       guard: CenterGuard, y_prev: np.ndarray | None = None, *,
+                       geometry: Geometry | None = None) -> float:
     """Shape update maximising the actual (capped) log-likelihood by
     bounded golden-section / parabolic-interpolation search.
 
     Only the shape varies, so Sigma is factorised and the residuals are
-    whitened once; each trial costs one Bessel evaluation.
+    whitened once (or not at all when ``geometry`` is handed in); each
+    trial costs one Bessel evaluation.
     """
-    geometry = Geometry.of(params, data, y_prev)
+    geometry = Geometry.at(params, data, y_prev, geometry)
 
     def negll(nu: float) -> float:
         return -float(_osum(geometry.log_density(float(nu), guard)))
@@ -327,15 +342,17 @@ def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
 
 
 def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,
-                    y_prev: np.ndarray | None = None) -> float:
+                    y_prev: np.ndarray | None = None, *,
+                    geometry: Geometry | None = None) -> float:
     """Sum of capped log densities.
 
     For AR parameters with no explicit lagged block, the first row of
     ``data`` is the conditioning state: it enters only as a regressor and
-    is excluded from the sum.
+    is excluded from the sum.  ``geometry`` is that of the modelled rows.
     """
     y, y_prev = params.modelled_rows(data, y_prev)
-    return float(_osum(log_density(params, y, guard=guard, y_prev=y_prev)))
+    geometry = Geometry.at(params, y, y_prev, geometry)
+    return float(_osum(geometry.log_density(params.nu, guard)))
 
 
 def _scale_params(params: MsvgParams, c: float) -> MsvgParams:
@@ -361,19 +378,21 @@ def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
     return float(res.x)
 
 
-def _one_cycle(y, y_prev, params, guard, nu_step: str, config: FitConfig,
+def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str, config: FitConfig,
                line_search_mu: bool):
-    """One full ECM cycle; returns (new params, guarded count, nu flag)."""
+    """One full ECM cycle from ``params`` and its ``geometry``; returns (new
+    params, their geometry, guarded count, nu flag)."""
     n = y.shape[0]
     ar = params.ar
 
     if line_search_mu:
         mu_star = _maximize_mu_univariate(y, params, guard)
         params = replace(params, mu=np.array([mu_star]))
+        geometry = None  # a new location: E-step 1 builds its own
 
     # E-step 1 at the current iterate
     mix1 = posterior_lambda_moments(params, y, guard=guard, y_prev=y_prev,
-                                    need_log=False)
+                                    need_log=False, geometry=geometry)
     stats1 = accumulate_suff_stats(y, mix1, ar_order=1 if ar else 0, y_prev=y_prev)
 
     # CM-step 1: location and skew
@@ -399,19 +418,22 @@ def _one_cycle(y, y_prev, params, guard, nu_step: str, config: FitConfig,
                                      need_log=False)
     sigma = cm_step_scale(y, trial.location(y_prev), trial.gamma, mix34, n)
     trial = replace(trial, sigma=sigma)
+    geometry = Geometry.of(trial, y, y_prev)
 
     nu_at_bound = False
     if nu_step == "mcecm":
         # E-step 2 at the updated location/scale/skew
-        mix2 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev)
+        mix2 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
+                                        geometry=geometry)
         stats2 = accumulate_suff_stats(y, mix2, ar_order=0)
         nu, nu_at_bound = cm_step_shape_mcecm(stats2, n, trial.nu, config.nu_bounds)
         guarded = int(mix2.guarded.sum())
     else:
-        nu = cm_step_shape_ecme(y, trial, config.nu_bounds, guard, y_prev=y_prev)
+        nu = cm_step_shape_ecme(y, trial, config.nu_bounds, guard, y_prev=y_prev,
+                                geometry=geometry)
         guarded = int(mix34.guarded.sum())
     trial = replace(trial, nu=float(nu))
-    return trial, guarded, nu_at_bound
+    return trial, geometry, guarded, nu_at_bound
 
 
 def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
@@ -457,7 +479,9 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     line_search_mu = algorithm == "hecm" and d == 1 and not ar
     nu_step = "ecme" if algorithm == "ecme" else "mcecm"
 
-    ll_prev = observed_loglik(y, params, guard=guard, y_prev=y_prev) + offset
+    geometry = Geometry.of(params, y, y_prev)
+    ll_prev = observed_loglik(y, params, guard=guard, y_prev=y_prev,
+                              geometry=geometry) + offset
     trace = [ll_prev]
     guarded_trace = []
     switch_iter = None
@@ -466,11 +490,12 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     conv_iter = 0
 
     for t in range(1, config.max_iter + 1):
-        prev_params, prev_ll = params, ll_prev
-        params, guarded, at_bound = _one_cycle(
-            y, y_prev, params, guard, nu_step, config, line_search_mu)
+        prev_params, prev_geometry, prev_ll = params, geometry, ll_prev
+        params, geometry, guarded, at_bound = _one_cycle(
+            y, y_prev, params, geometry, guard, nu_step, config, line_search_mu)
         nu_hit_bound = nu_hit_bound or at_bound
-        ll = observed_loglik(y, params, guard=guard, y_prev=y_prev) + offset
+        ll = observed_loglik(y, params, guard=guard, y_prev=y_prev,
+                             geometry=geometry) + offset
         trace.append(ll)
         guarded_trace.append(guarded)
         conv_iter = t
@@ -479,7 +504,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
                 # revert one iterate and finish with ECME shape updates
                 switch_iter = t
                 nu_step = "ecme"
-                params, ll_prev = prev_params, prev_ll
+                params, geometry, ll_prev = prev_params, prev_geometry, prev_ll
                 continue
             converged = True
             break
@@ -493,7 +518,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
             RuntimeWarning)
 
     # guarded count at the final iterate, by the E-step's rule
-    _, _, _, guarded = Geometry.of(params, y, y_prev).capped(params.nu, guard)
+    _, _, _, guarded = geometry.capped(params.nu, guard)
 
     return FitReport(
         params=final_params,

@@ -102,7 +102,8 @@ def unflatten_params(theta: np.ndarray, template) -> MsvgParams:
 
 
 def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
-                              y_prev=None, guard: CenterGuard | None = None):
+                              y_prev=None, guard: CenterGuard | None = None, *,
+                              geometry: Geometry | None = None):
     """Posterior moments E(lam^k), E(lam^k log lam) or E((log lam)^2).
 
     With eta = nu - d/2, psi = sqrt(2 nu + gamma' Sigma^-1 gamma) and the
@@ -113,11 +114,13 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
         E((log lam)^2)   = ln(delta/psi)^2
                            + [K_eta^(2,0)(z) + 2 ln(delta/psi) K_eta^(1,0)(z)] / K_eta(z)
 
-    where z = delta * psi.
+    where z = delta * psi.  ``geometry`` is that of ``params`` and ``y``
+    when the caller already holds it.
     """
     if kind not in ("plain", "times_log", "log_squared"):
         raise ValueError(f"unknown kind {kind!r}")
-    psi, eta, delta, _ = Geometry.of(params, y, y_prev).capped(params.nu, guard)
+    psi, eta, delta, _ = Geometry.at(params, y, y_prev, geometry).capped(
+        params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
 
@@ -297,10 +300,13 @@ def observed_info(params, data, y_prev=None,
     ``data`` conditions the fit, matching :func:`msvg.ecm.observed_loglik`.
     """
     y, y_prev = params.modelled_rows(data, y_prev)
+    # Sigma is factorised once for the eight moments
+    geometry = Geometry.of(params, y, y_prev)
 
     def moment(k, kind):
         vals = np.atleast_1d(conditional_lambda_moment(
-            params, y, k=k, kind=kind, y_prev=y_prev, guard=guard))
+            params, y, k=k, kind=kind, y_prev=y_prev, guard=guard,
+            geometry=geometry))
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise ValueError(

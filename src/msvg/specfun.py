@@ -52,7 +52,8 @@ class OrderDiffStep:
 # arguments per chunk, about a millisecond of kve; a block is split only
 # when it holds two chunks or more
 _CHUNK = 2048
-# the chunk threads, created and sized by the first block that is split
+# the chunk threads, created by the first block that is split and sized for
+# the largest block, thread_count() - 1 workers
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -134,7 +135,7 @@ def _log_kve_split(order: float, z: np.ndarray) -> np.ndarray:
         return _log_kve(order, z)
     parts = [None] * ((z.size + _CHUNK - 1) // _CHUNK)
     chunks = iter(range(len(parts)))
-    pool = _kernel_pool(threads - 1)
+    pool = _kernel_pool(thread_count() - 1)
     for _ in range(threads - 1):
         pool.submit(_fill, order, z, parts, chunks)
     _fill(order, z, parts, chunks)
@@ -192,13 +193,18 @@ def log_bessel_k(order: float, z):
     if not math.isfinite(order):
         raise ValueError("bessel order must be finite")
     order = abs(float(order))
-    scalar = np.isscalar(z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_z(z)
+    # an array is never a scalar, and np.isscalar is slow to say so
+    scalar = not isinstance(z, np.ndarray) and np.isscalar(z)
+    z = np.array(z, dtype=float, ndmin=1, copy=None)
     out = _log_kve_split(order, z) if z.size >= 2 * _CHUNK else _log_kve(order, z)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        for i in np.flatnonzero(bad):
+    # One reduction checks the whole block.  An argument that is not
+    # positive and finite gives a non-finite value (kve is inf at 0 and NaN
+    # below; an infinite or NaN z carries through the "- z"), so only a
+    # non-finite sum runs the element-wise tests, which name the fault, and
+    # sends the overflowed entries down the order ladder.
+    if not math.isfinite(np.add.reduce(out)):
+        _check_z(z)
+        for i in np.flatnonzero(~np.isfinite(out)):
             out[i] = _log_k_ladder(order, float(z[i]))
     return float(out[0]) if scalar else out
 
@@ -249,25 +255,35 @@ def bessel_k_order_derivative_over_k(order: float, z,
     return float(out) if np.isscalar(z) else out
 
 
+def _positive_finite(x, name: str):
+    """``x`` as floats after the domain check 0 < x < inf.
+
+    A Python float, the shape step's argument, skips the array round trip.
+    """
+    if type(x) is float:
+        ok = 0.0 < x < math.inf
+    else:
+        x = np.asarray(x, dtype=float)
+        ok = np.all((0.0 < x) & (x < math.inf))
+    if not ok:
+        raise ValueError(f"{name} requires x > 0")
+    return x
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("log_gamma requires x > 0")
-    return sp.gammaln(x)
+    return sp.gammaln(_positive_finite(x, "log_gamma"))
 
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0) or not np.all(np.isfinite(x_arr)):
-        raise ValueError("digamma requires x > 0")
-    return sp.digamma(x)
+    return sp.digamma(_positive_finite(x, "digamma"))
 
 
 def trigamma(x):
-    """psi'(x), strictly positive for x > 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0) or not np.all(np.isfinite(x_arr)):
-        raise ValueError("trigamma requires x > 0")
-    return sp.polygamma(1, x)
+    """psi'(x), strictly positive for x > 0.
+
+    Evaluated as the Hurwitz zeta function zeta(2, x), the value that
+    ``scipy.special.polygamma(1, x)`` returns, without its array wrapper.
+    """
+    return sp.zeta(2.0, _positive_finite(x, "trigamma"))

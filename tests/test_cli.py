@@ -1,12 +1,15 @@
 """End-to-end tests of the ``msvg`` command line, run in-process."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msvg.cli import main
+import msvg.cli
+from msvg.cli import information_summary, main
+from msvg.inference import InfoMatrix
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_prices.csv"
 PANEL_ARGS = ["--data", str(FIXTURE), "--date-column", "date", "--columns", "AAA,BBB"]
@@ -84,6 +87,59 @@ class TestFit:
             assert set(blob["standard_errors"]) == set(blob["estimates"])
         else:
             assert blob["standard_errors"] == {}
+
+    def test_information_block(self, fitted):
+        # at tol 1e-6 the plain fixture fit converges to a point whose
+        # observed information is indefinite; the report says so
+        ar, runs = fitted
+        prefix = runs[0][1]
+
+        def no_nan(name):
+            raise AssertionError(f"{name} written to the fit report")
+
+        blob = json.loads(Path(f"{prefix}.json").read_text(), parse_constant=no_nan)
+        info = blob["information"]
+        assert set(info) == {"min_eigenvalue", "max_eigenvalue",
+                             "condition_number", "positive_definite"}
+        assert blob["converged"] is True
+        assert info["min_eigenvalue"] <= info["max_eigenvalue"]
+        if ar:
+            assert info["positive_definite"] is True
+            assert info["condition_number"] == pytest.approx(
+                info["max_eigenvalue"] / info["min_eigenvalue"])
+        else:
+            assert info["positive_definite"] is False
+            assert info["min_eigenvalue"] < 0
+            assert info["condition_number"] is None
+        lines = [ln for ln in Path(f"{prefix}.txt").read_text().splitlines()
+                 if ln.startswith("information:")]
+        assert len(lines) == 1
+        assert lines[0].endswith(f"positive definite: {info['positive_definite']}")
+
+    def test_information_null_when_it_cannot_be_formed(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no information here")
+
+        monkeypatch.setattr(msvg.cli, "observed_info", fail)
+        prefix = tmp_path / "fit"
+        assert run_cli("fit", *PANEL_ARGS, "--tol", "1e-6", "--out", prefix) == 0
+        blob = json.loads(Path(f"{prefix}.json").read_text())
+        assert blob["information"] is None
+        assert blob["se_error"] == "ValueError: no information here"
+        assert "information: unavailable" in Path(f"{prefix}.txt").read_text()
+
+    def test_information_summary_values(self):
+        def summary(*diag):
+            return information_summary(InfoMatrix(np.diag(diag), ["a", "b"]))
+
+        assert summary(2.0, 8.0) == {"min_eigenvalue": 2.0, "max_eigenvalue": 8.0,
+                                     "condition_number": 4.0, "positive_definite": True}
+        assert summary(-1.0, 8.0)["condition_number"] is None
+        assert summary(0.0, 8.0)["positive_definite"] is False
+        assert summary(math.nan, 8.0) == {
+            "min_eigenvalue": None, "max_eigenvalue": None,
+            "condition_number": None, "positive_definite": False}
+        assert information_summary(None) is None
 
     def test_printed_line_names_the_files(self, tmp_path, capsys):
         prefix = tmp_path / "fit"

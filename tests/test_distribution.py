@@ -13,6 +13,7 @@ from msvg.distribution import (
     mahalanobis_delta,
     moments,
     posterior_lambda_moments,
+    _chol_lower,
     sample,
 )
 from msvg.specfun import digamma
@@ -132,6 +133,35 @@ class TestWhitening:
         block = log_density(p, y)
         for i in range(len(y)):
             assert log_density(p, y[i]) == block[i]
+
+
+class TestFactorisation:
+    """LAPACK potrf and BLAS trsv, called directly, give the bits of
+    linalg.cholesky and linalg.solve_triangular, and the same errors."""
+
+    def test_matches_scipy_wrappers(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            d = int(rng.integers(1, 7))
+            a = rng.standard_normal((d, d))
+            sigma = a @ a.T + rng.uniform(1e-3, 2.0) * np.eye(d)
+            sigma[0, -1] += 1e-15 * rng.standard_normal()    # CM-step asymmetry
+            p = MsvgParams(mu=np.zeros(d), sigma=sigma, gamma=rng.standard_normal(d), nu=1.0)
+            chol = linalg.cholesky(0.5 * (sigma + sigma.T), lower=True)
+            np.testing.assert_array_equal(_chol_lower(sigma), chol)
+            geom = Geometry.of(p, np.zeros((1, d)))
+            g = linalg.solve_triangular(chol, p.gamma, lower=True)
+            assert geom.q_gamma == float(g @ g)
+            assert geom.logdet == 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+    def test_errors(self):
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            _chol_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _chol_lower(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+        # finite entries whose symmetrized sum overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            _chol_lower(np.array([[1.0, 1.5e308], [1.5e308, 1.0]]))
 
 
 class TestLogDensity:

@@ -192,6 +192,24 @@ class TestThreadedKernel:
         assert mask < allowed and len(mask) == len(allowed) - 1
         assert os.sched_getaffinity(0) == allowed
 
+    def test_pool_is_sized_for_the_largest_block(self, monkeypatch):
+        # a first split block of two chunks must not fix the pool at one
+        # worker: an 8192-point block then has work for three threads
+        monkeypatch.setattr(specfun, "_pool", None)
+        small = np.linspace(0.05, 30.0, 4096)
+        large = np.linspace(0.05, 30.0, 8192)
+        monkeypatch.setenv("MSVG_THREADS", "1")
+        serial = [log_bessel_k(2.3, small), log_bessel_k(2.3, large)]
+        monkeypatch.setenv("MSVG_THREADS", "3")
+        threaded = [log_bessel_k(2.3, small), log_bessel_k(2.3, large)]
+        pool = specfun._pool
+        try:
+            assert pool._max_workers == 2
+        finally:
+            pool.shutdown()
+        for a, b in zip(threaded, serial):
+            np.testing.assert_array_equal(a, b)
+
     def test_forked_child_does_not_reuse_the_pool(self):
         src = str(Path(specfun.__file__).resolve().parents[1])
         env = dict(os.environ, MSVG_THREADS="2",
@@ -290,3 +308,39 @@ class TestGammaFunctions:
                 fn(0.0)
             with pytest.raises(ValueError):
                 fn(-1.5)
+
+
+class TestLeanGuards:
+    """The one-reduction block check and the Python-float fast path raise
+    what the element-wise checks raise and return the same bits."""
+
+    @pytest.mark.parametrize("n", [3, 5000])
+    @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (math.inf, "finite"),
+                                              (0.0, "positive"), (-1.5, "positive")])
+    def test_bad_argument_in_last_position(self, n, bad, message):
+        # 5000 points take the split path
+        z = np.linspace(0.1, 8.0, n)
+        z[-1] = bad
+        with pytest.raises(ValueError, match=message):
+            log_bessel_k(0.7, z)
+
+    def test_empty_block(self):
+        assert log_bessel_k(0.7, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma, log_gamma])
+    @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
+    def test_python_float_domain(self, fn, bad):
+        with pytest.raises(ValueError, match="requires x > 0"):
+            fn(bad)
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma, log_gamma])
+    def test_scalar_path_equals_array_path(self, fn):
+        xs = np.concatenate([np.geomspace(1e-4, 300.0, 400), [0.6, 2.5, 3.0]])
+        block = fn(xs)
+        for i, x in enumerate(xs.tolist()):
+            assert type(x) is float
+            assert np.float64(fn(x)).tobytes() == block[i].tobytes()
+
+    def test_trigamma_is_polygamma(self):
+        xs = np.geomspace(1e-4, 300.0, 2000)
+        np.testing.assert_array_equal(trigamma(xs), specfun.sp.polygamma(1, xs))
