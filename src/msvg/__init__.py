@@ -55,7 +55,6 @@ from .inference import (
 )
 from .returns import ReturnsPanel, load_returns, load_values, summary_statistics
 from .specfun import (
-    OrderDiffStep,
     bessel_k_order_derivative,
     bessel_k_order_derivative_over_k,
     bessel_k_ratio,
@@ -76,7 +75,6 @@ __all__ = [
     "InfoMatrix",
     "MixingExpectations",
     "MsvgParams",
-    "OrderDiffStep",
     "ReturnsPanel",
     "SingularInformationError",
     "StudySpec",

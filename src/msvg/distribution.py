@@ -31,9 +31,15 @@ part of it) and one data block.  The consumers that take it as the
 keyword ``geometry=`` -- :func:`posterior_lambda_moments`,
 :func:`msvg.ecm.observed_loglik`, :func:`msvg.ecm.cm_step_shape_ecme` and
 :func:`msvg.inference.conditional_lambda_moment` -- build their own when
-none is given.  A geometry carries the tag of the point it was built from
-(the bytes of mu, beta1, Sigma and gamma and the row count), and a consumer
-handed one built for another point raises ``ValueError``.
+none is given.
+
+One rule says whether a result belongs to a parameter point: its tag (the
+bytes of mu, beta1, Sigma and gamma and the row count) equals the point's.
+A geometry carries the tag of the point it was built from, and the mixing
+expectations of :func:`posterior_lambda_moments` carry the tag of the
+geometry they were computed from.  :meth:`Geometry.at` and
+:func:`msvg.ecm.cm_step_scale` check it and raise ``ValueError`` on a
+result built for another point.
 
 The AR(1) mean variant is the same model with location beta0 + beta1 @ y_prev;
 :class:`MsvgParams` carries it as an optional lag matrix ``beta1``, with
@@ -50,7 +56,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 from scipy.special import gammaln
 
-from .specfun import OrderDiffStep, log_bessel_k
+from .specfun import ORDER_DIFF_STEP, log_bessel_k
 
 # exp() clamp keeping posterior moments positive and finite in extreme tails
 _LOG_CLIP = 700.0
@@ -173,13 +179,14 @@ class CenterGuard:
 
 @dataclass
 class MixingExpectations:
-    """Per-observation conditional moments of the mixing weight given the data."""
+    """Per-observation conditional moments of the mixing weight given the
+    data; ``tag`` names the parameter point they were computed at."""
 
     e_lambda: np.ndarray
     e_inv_lambda: np.ndarray
     e_log_lambda: np.ndarray | None
     guarded: np.ndarray
-    location_tag: bytes | None = field(default=None, repr=False)
+    tag: bytes | None = field(default=None, repr=False)
 
     def validate(self) -> None:
         if not (np.all(self.e_lambda > 0) and np.all(self.e_inv_lambda > 0)):
@@ -191,23 +198,21 @@ class MixingExpectations:
             raise AssertionError("E(log lam) <= log E(lam) violated")
 
 
-def location_tag(location, gamma) -> bytes:
-    """Freshness token tying mixing expectations to the location/skew they used.
-
-    ``location`` is the (d,) vector or, for AR(1), the (n, d) block of
-    per-row locations.
-    """
-    return (np.ascontiguousarray(location, dtype=float).tobytes()
-            + np.ascontiguousarray(gamma, dtype=float).tobytes())
-
-
 def _point_tag(params, rows: int) -> bytes:
-    """Freshness token of a :class:`Geometry`: the bytes of mu, beta1, Sigma
+    """Freshness token of a parameter point: the bytes of mu, beta1, Sigma
     and gamma, and the row count of the data block."""
     parts = [params.mu, params.sigma, params.gamma]
     if params.ar:
         parts.append(params.beta1)
     return b"".join([a.tobytes() for a in parts]) + rows.to_bytes(8, "little")
+
+
+def check_tag(tag, params, y, what: str) -> None:
+    """Raise ``ValueError`` unless ``tag`` names ``params`` and the rows of
+    ``y`` (one row when ``y`` is a single observation)."""
+    if tag != _point_tag(params, 1 if np.ndim(y) == 1 else len(y)):
+        raise ValueError(f"{what} stale: built for another parameter point "
+                         f"or data block")
 
 
 def _chol_lower(sigma: np.ndarray) -> np.ndarray:
@@ -273,9 +278,7 @@ class Geometry:
         rows of ``y``; a new geometry when None."""
         if geometry is None:
             return cls.of(params, y, y_prev)
-        if geometry.tag != _point_tag(params, 1 if np.ndim(y) == 1 else len(y)):
-            raise ValueError("geometry is stale: it was built for another "
-                             "parameter point or data block")
+        check_tag(geometry.tag, params, y, "geometry is")
         return geometry
 
     def capped(self, nu: float, guard: CenterGuard | None = None):
@@ -396,15 +399,16 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
     substituted distance and are marked in ``guarded``.  ``need_log=False``
     skips E(log lam) (eliminating the order-derivative evaluations) for the
     cycle stages that only consume the first two moments.  ``geometry`` is
-    that of ``params`` and ``y`` when the caller already holds it.
+    that of ``params`` and ``y`` when the caller already holds it; the
+    result carries its tag.
     """
-    psi, eta, delta, guarded = Geometry.at(params, y, y_prev, geometry).capped(
-        params.nu, guard)
+    geometry = Geometry.at(params, y, y_prev, geometry)
+    psi, eta, delta, guarded = geometry.capped(params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
     e_lam, e_inv, lk_a = _gig_first_moments(eta, z, log_dp)
     if need_log:
-        h = OrderDiffStep().h
+        h = ORDER_DIFF_STEP
         d1 = (np.exp(np.asarray(log_bessel_k(eta + h, z)) - lk_a)
               - np.exp(np.asarray(log_bessel_k(eta - h, z)) - lk_a)) / (2.0 * h)
         e_log = log_dp + d1
@@ -412,9 +416,7 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
         e_log = None
 
     return MixingExpectations(e_lambda=e_lam, e_inv_lambda=e_inv,
-                              e_log_lambda=e_log, guarded=guarded,
-                              location_tag=location_tag(params.location(y_prev),
-                                                        params.gamma))
+                              e_log_lambda=e_log, guarded=guarded, tag=geometry.tag)
 
 
 def density_grid(params, x_range, y_range, resolution: int,

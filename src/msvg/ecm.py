@@ -29,6 +29,11 @@ to the next cycle's first E-step and, after the last cycle, to the final
 guarded count.  The fit's starting log-likelihood builds the first one;
 HECM's revert restores the geometry together with the iterate.
 
+One rule says whether a result belongs to a parameter point, the point's
+tag (:mod:`msvg.distribution`): geometries and mixing expectations carry
+it, and every consumer of a handed geometry checks it, as does
+:func:`cm_step_scale` for the extra E-step's expectations and point.
+
 Data are pre-multiplied by a constant (default 100) before fitting and the
 estimates mapped back afterwards; the family is closed under scaling, and
 working on the scaled data improves the conditioning of the updates for
@@ -50,7 +55,7 @@ from .distribution import (
     Geometry,
     MixingExpectations,
     MsvgParams,
-    location_tag,
+    check_tag,
     log_density,
     posterior_lambda_moments,
 )
@@ -240,21 +245,19 @@ def cm_step_ar(stats: SuffStats, n: int):
     return beta0, beta1, gamma
 
 
-def cm_step_scale(data: np.ndarray, location: np.ndarray, gamma: np.ndarray,
-                  refreshed_mix: MixingExpectations, n: int) -> np.ndarray:
-    """Scale-matrix update from mixing expectations refreshed at the new
-    location and skew (the extra E-step); staleness is rejected outright.
-
-    ``location`` is the (d,) vector or, for AR(1), the (n, d) block of
-    per-row locations (:meth:`MsvgParams.location`).
+def cm_step_scale(data: np.ndarray, params, refreshed_mix: MixingExpectations,
+                  y_prev: np.ndarray | None = None) -> np.ndarray:
+    """Scale-matrix update from mixing expectations refreshed at ``params``,
+    the point of the extra E-step (new location and skew, old scale);
+    expectations computed at any other point are rejected outright.
     """
-    if refreshed_mix.location_tag != location_tag(location, gamma):
-        raise ValueError("mixing expectations are stale: refresh them at the "
-                         "updated location/skew before the scale step")
-    resid = np.atleast_2d(np.asarray(data, dtype=float)) - np.asarray(location)
+    y = np.atleast_2d(np.asarray(data, dtype=float))
+    check_tag(refreshed_mix.tag, params, y, "mixing expectations are")
+    n = len(y)
+    resid = y - params.location(y_prev)
     w = refreshed_mix.e_inv_lambda
     sigma = _osum(w[:, None, None] * (resid[:, :, None] * resid[:, None, :])) / n \
-        - np.outer(gamma, gamma) * (float(_osum(refreshed_mix.e_lambda)) / n)
+        - np.outer(params.gamma, params.gamma) * (float(_osum(refreshed_mix.e_lambda)) / n)
     if not np.logical_and.reduce(np.isfinite(sigma), axis=None):
         raise ValueError("scale update produced non-finite entries")
     sigma = 0.5 * (sigma + sigma.T)
@@ -416,7 +419,7 @@ def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str, config: FitConf
     # extra E-step at the new location/skew, then the scale update
     mix34 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
                                      need_log=False)
-    sigma = cm_step_scale(y, trial.location(y_prev), trial.gamma, mix34, n)
+    sigma = cm_step_scale(y, trial, mix34, y_prev)
     trial = replace(trial, sigma=sigma)
     geometry = Geometry.of(trial, y, y_prev)
 
@@ -462,17 +465,16 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
 
     c = float(config.scale_c)
     x_scaled = data * c
-    if ar:
-        y, y_prev = x_scaled[1:], x_scaled[:-1]
-    else:
-        y, y_prev = x_scaled, None
-
     guard = (CenterGuard(config.delta_cap) if config.delta_cap is not None
              else CenterGuard.default_for_dim(d))
     params = (_scale_params(config.init, c) if config.init is not None
               else initial_params(x_scaled, ar_order=config.ar_order))
     if params.d != d:
         raise ValueError("initial parameters do not match the data dimension")
+    if params.ar != ar:
+        raise ValueError(f"initial parameters {'carry' if params.ar else 'lack'} "
+                         f"the AR(1) lag matrix, but ar_order is {config.ar_order}")
+    y, y_prev = params.modelled_rows(x_scaled)
 
     offset = n_eff * d * math.log(c)  # maps the scaled loglik to data scale
     algorithm = config.algorithm

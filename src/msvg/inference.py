@@ -164,15 +164,16 @@ def _design(params, data, y_prev):
     return x, resid, prec, e_stack, w_stack
 
 
-def _score_stacks(params, data, y_prev):
+def _score_stacks(params, design):
     """Per-observation score coefficients on the monomials 1, 1/lam, lam, log lam.
 
     Returns (A, B, C, D) of shape (n, p): the score of observation i given
     mixing weight lam is A_i + B_i / lam + C_i lam + D_i log lam.
+    ``design`` is :func:`_design` of ``params`` and the data.
     """
     d = params.d
     ar = params.ar
-    x, resid, prec, e_stack, w_stack = _design(params, data, y_prev)
+    x, resid, prec, e_stack, w_stack = design
     n = resid.shape[0]
     pg = prec @ params.gamma
     pe = resid @ prec                       # rows: Sigma^-1 e_i
@@ -215,18 +216,18 @@ def _score_stacks(params, data, y_prev):
 def complete_score(params, data, lambda_block, y_prev=None) -> np.ndarray:
     """Score of the complete-data log-likelihood at plugged-in mixing weights."""
     lam = np.atleast_1d(np.asarray(lambda_block, dtype=float))
-    a, b, c, dd = _score_stacks(params, data, y_prev)
+    a, b, c, dd = _score_stacks(params, _design(params, data, y_prev))
     if lam.shape[0] != a.shape[0]:
         raise ValueError("lambda block length must match the data")
     return (a + b / lam[:, None] + c * lam[:, None]
             + dd * np.log(lam)[:, None]).sum(axis=0)
 
 
-def _expected_hessian(params, data, y_prev, m1, m_1):
+def _expected_hessian(params, design, m1, m_1):
     """Conditional expectation of the complete-data Hessian, summed over rows."""
     d = params.d
     ar = params.ar
-    x, resid, prec, e_stack, w_stack = _design(params, data, y_prev)
+    x, resid, prec, e_stack, w_stack = design
     n = resid.shape[0]
     gamma = params.gamma
     ps = e_stack.shape[0]
@@ -323,7 +324,8 @@ def observed_info(params, data, y_prev=None,
     mlog_o = moment(-1.0, "times_log")
     mlog2 = moment(0.0, "log_squared")
 
-    a, b, c, dd = _score_stacks(params, y, y_prev)
+    design = _design(params, y, y_prev)
+    a, b, c, dd = _score_stacks(params, design)
 
     def cross(u, v, w=None):
         return u.T @ v if w is None else u.T @ (w[:, None] * v)
@@ -338,7 +340,7 @@ def observed_info(params, data, y_prev=None,
     ebar = a + m_1[:, None] * b + m1[:, None] * c + mlog[:, None] * dd
     score_cov = second - cross(ebar, ebar)
 
-    h_bar = _expected_hessian(params, y, y_prev, m1, m_1)
+    h_bar = _expected_hessian(params, design, m1, m_1)
     info = -h_bar - score_cov
     # exact symmetry: keep the upper triangle, mirror it down
     info = np.triu(info) + np.triu(info, 1).T

@@ -32,22 +32,12 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
-
-@dataclass(frozen=True)
-class OrderDiffStep:
-    """Step size for central differences of K_v(z) with respect to the order."""
-
-    h: float = 1e-5
-
-    def __post_init__(self):
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"order-difference step must be positive, got {self.h}")
-
+# step of the central differences of K_v(z) in the order v
+ORDER_DIFF_STEP = 1e-5
 
 # arguments per chunk, about a millisecond of kve; a block is split only
 # when it holds two chunks or more
@@ -224,27 +214,24 @@ def bessel_k_ratio(order_a: float, order_b: float, z):
     return np.exp(log_bessel_k(order_a, z) - np.asarray(log_bessel_k(order_b, z)))
 
 
-def bessel_k_order_derivative(order: float, z, step: OrderDiffStep = OrderDiffStep(),
-                              degree: int = 1):
+def bessel_k_order_derivative(order: float, z, degree: int = 1):
     """Central-difference order derivative of K_v(z) at v = order.
 
-    degree 1 returns (K_{v+h} - K_{v-h}) / (2h), degree 2 returns
-    (K_{v+h} - 2 K_v + K_{v-h}) / h**2, both with the common magnitude
-    exp(ln K_v(z)) factored out of the difference.  The raw value is
+    With h = ``ORDER_DIFF_STEP``, degree 1 returns (K_{v+h} - K_{v-h}) / (2h),
+    degree 2 returns (K_{v+h} - 2 K_v + K_{v-h}) / h**2, both with the common
+    magnitude exp(ln K_v(z)) factored out of the difference.  The raw value is
     returned, so it overflows exactly when K_v(z) itself does; use
     :func:`bessel_k_order_derivative_over_k` for the ratio against K_v.
     """
-    ratio = bessel_k_order_derivative_over_k(order, z, step, degree)
+    ratio = bessel_k_order_derivative_over_k(order, z, degree)
     return ratio * np.exp(log_bessel_k(order, z))
 
 
-def bessel_k_order_derivative_over_k(order: float, z,
-                                     step: OrderDiffStep = OrderDiffStep(),
-                                     degree: int = 1):
+def bessel_k_order_derivative_over_k(order: float, z, degree: int = 1):
     """Order derivative of K_v(z) divided by K_v(z): K_v^(degree,0)(z) / K_v(z)."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    h = step.h
+    h = ORDER_DIFF_STEP
     lk = np.asarray(log_bessel_k(order, z))
     up = np.exp(np.asarray(log_bessel_k(order + h, z)) - lk)
     dn = np.exp(np.asarray(log_bessel_k(order - h, z)) - lk)

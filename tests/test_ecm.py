@@ -6,7 +6,13 @@ import pytest
 from scipy import optimize
 
 import msvg
-from msvg.distribution import CenterGuard, MsvgParams, posterior_lambda_moments, sample
+from msvg.distribution import (
+    CenterGuard,
+    Geometry,
+    MsvgParams,
+    posterior_lambda_moments,
+    sample,
+)
 from msvg.ecm import (
     DegenerateMixingError,
     FitConfig,
@@ -22,7 +28,6 @@ from msvg.ecm import (
     initial_params,
     observed_loglik,
 )
-from msvg.distribution import location_tag
 from msvg.specfun import digamma, trigamma
 
 from oracles import (
@@ -37,18 +42,23 @@ BASE = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
                   gamma=[0.2, 0.3], nu=2.5)
 
 
-def make_mix(y, e_lam, e_inv, e_log=None, location=None, gamma=None):
+def at(mu, gamma):
+    """The point (mu, unit scale, gamma) that a hand-built mix is tagged with."""
+    return MsvgParams(mu=mu, sigma=np.eye(len(gamma)), gamma=gamma, nu=1.0)
+
+
+def make_mix(y, e_lam, e_inv, e_log=None, point=None):
     n = y.shape[0]
     tag = None
-    if location is not None:
-        tag = location_tag(location, gamma)
+    if point is not None:
+        tag = Geometry.of(point, y).tag
     return msvg.MixingExpectations(
         e_lambda=np.broadcast_to(np.asarray(e_lam, dtype=float), (n,)).copy(),
         e_inv_lambda=np.broadcast_to(np.asarray(e_inv, dtype=float), (n,)).copy(),
         e_log_lambda=(np.broadcast_to(np.asarray(e_log, dtype=float), (n,)).copy()
                       if e_log is not None else None),
         guarded=np.zeros(n, dtype=bool),
-        location_tag=tag,
+        tag=tag,
     )
 
 
@@ -207,8 +217,8 @@ class TestScaleStep:
         y = rng.normal(size=(40, 2))
         mu = y.mean(axis=0)
         gamma = np.zeros(2)
-        mix = make_mix(y, 1.0, 1.0, location=mu, gamma=gamma)
-        sigma = cm_step_scale(y, mu, gamma, mix, 40)
+        mix = make_mix(y, 1.0, 1.0, point=at(mu, gamma))
+        sigma = cm_step_scale(y, at(mu, gamma), mix)
         centered = y - mu
         np.testing.assert_allclose(sigma, centered.T @ centered / 40.0, rtol=1e-12)
 
@@ -216,8 +226,8 @@ class TestScaleStep:
         y = np.array([[0.0], [2.0]])
         mu = np.array([-2.0 / 3.0])
         gamma = np.array([2.0 / 3.0])
-        mix = make_mix(y, [1.0, 4.0], [1.0, 0.25], location=mu, gamma=gamma)
-        sigma = cm_step_scale(y, mu, gamma, mix, 2)
+        mix = make_mix(y, [1.0, 4.0], [1.0, 0.25], point=at(mu, gamma))
+        sigma = cm_step_scale(y, at(mu, gamma), mix)
         expect = 0.5 * (1.0 * (2.0 / 3.0) ** 2 + 0.25 * (8.0 / 3.0) ** 2) \
             - 0.5 * (2.0 / 3.0) ** 2 * 5.0
         assert sigma[0, 0] == pytest.approx(max(expect, 0.0), rel=1e-12)
@@ -230,8 +240,8 @@ class TestScaleStep:
         gamma = rng.normal(size=d) * 0.1
         e_lam = rng.uniform(0.5, 2.0, size=n)
         e_inv = 1.0 / e_lam + rng.uniform(0.0, 0.5, size=n)
-        mix = make_mix(y, e_lam, e_inv, location=mu, gamma=gamma)
-        sigma = cm_step_scale(y, mu, gamma, mix, n)
+        mix = make_mix(y, e_lam, e_inv, point=at(mu, gamma))
+        sigma = cm_step_scale(y, at(mu, gamma), mix)
         ref = np.zeros((d, d))
         for i in range(n):
             ref += e_inv[i] * np.outer(y[i] - mu, y[i] - mu)
@@ -241,17 +251,17 @@ class TestScaleStep:
     def test_stale_expectations_rejected(self):
         y = np.random.default_rng(1).normal(size=(20, 2))
         mu_old = np.zeros(2)
-        mix = make_mix(y, 1.0, 1.0, location=mu_old, gamma=np.zeros(2))
+        mix = make_mix(y, 1.0, 1.0, point=at(mu_old, np.zeros(2)))
         with pytest.raises(ValueError, match="stale"):
-            cm_step_scale(y, mu_old + 0.1, np.zeros(2), mix, 20)
+            cm_step_scale(y, at(mu_old + 0.1, np.zeros(2)), mix)
 
     def test_spd_floor(self):
         # weights that would make the update indefinite get floored
         y = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
         gamma = np.array([2.0, -2.0])
         mu = np.zeros(2)
-        mix = make_mix(y, 10.0, 0.1, location=mu, gamma=gamma)
-        sigma = cm_step_scale(y, mu, gamma, mix, 4)
+        mix = make_mix(y, 10.0, 0.1, point=at(mu, gamma))
+        sigma = cm_step_scale(y, at(mu, gamma), mix)
         assert np.all(np.linalg.eigvalsh(sigma) > 0.0)
 
 
@@ -474,6 +484,13 @@ class TestFit:
         with pytest.raises(ValueError, match="singular"):
             fit(data)
 
+    def test_init_must_match_ar_order(self):
+        data = sample(BASE, 200, seed=31)
+        with pytest.raises(ValueError, match="lack the AR"):
+            fit(data, FitConfig(ar_order=1, init=initial_params(data)))
+        with pytest.raises(ValueError, match="carry the AR"):
+            fit(data, FitConfig(ar_order=0, init=initial_params(data, ar_order=1)))
+
     def test_report_fields(self):
         data = sample(BASE, 400, seed=30)
         rep = fit(data, FitConfig(algorithm="mcecm"))
@@ -495,8 +512,8 @@ class TestCompleteDataConsistency:
         mix = make_mix(y, lam, 1.0 / lam, np.log(lam))
         stats = accumulate_suff_stats(y, mix)
         mu, gamma = cm_step_location_skew(stats, n)
-        mix2 = make_mix(y, lam, 1.0 / lam, np.log(lam), location=mu, gamma=gamma)
-        sigma = cm_step_scale(y, mu, gamma, mix2, n)
+        mix2 = make_mix(y, lam, 1.0 / lam, np.log(lam), point=at(mu, gamma))
+        sigma = cm_step_scale(y, at(mu, gamma), mix2)
         params = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=1.0)
         best = complete_data_loglik(params, y, lam)
         for _ in range(20):

@@ -1,5 +1,6 @@
 """Lifetime of :class:`msvg.distribution.Geometry`: one per parameter point,
-handed on with ``geometry=``, rejected at any other point."""
+handed on with ``geometry=``, rejected at any other point; mixing
+expectations carry the same tag and the scale step checks it."""
 
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from msvg.distribution import (
     posterior_lambda_moments,
     sample,
 )
-from msvg.ecm import FitConfig, cm_step_shape_ecme, fit, observed_loglik
+from msvg.ecm import FitConfig, cm_step_scale, cm_step_shape_ecme, fit, observed_loglik
 from msvg.inference import conditional_lambda_moment, observed_info
 
 PLAIN = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
@@ -64,7 +65,7 @@ class TestHandoffBitIdentity:
                                               geometry=geometry)
             for field in ("e_lambda", "e_inv_lambda", "e_log_lambda", "guarded"):
                 np.testing.assert_array_equal(getattr(handed, field), getattr(own, field))
-            assert handed.location_tag == own.location_tag
+            assert handed.tag == own.tag == geometry.tag
         if name == "guarded":
             assert own.guarded[0] and own.guarded.sum() < len(y)
 
@@ -95,6 +96,7 @@ class TestStaleGeometry:
     def test_other_point_is_rejected(self, change):
         p, y, y_prev, _ = case("ar1")
         geometry = Geometry.of(p, y, y_prev)
+        mix = posterior_lambda_moments(p, y, y_prev=y_prev, need_log=False)
         other = {"mu": replace(p, mu=p.mu + 1e-12),
                  "sigma": replace(p, sigma=1.5 * p.sigma),
                  "gamma": replace(p, gamma=-p.gamma),
@@ -108,6 +110,7 @@ class TestStaleGeometry:
             lambda: cm_step_shape_ecme(y, other, (1e-4, 200.0), CenterGuard(1e-4),
                                        y_prev, geometry=geometry),
             lambda: conditional_lambda_moment(other, y, y_prev=y_prev, geometry=geometry),
+            lambda: cm_step_scale(y, other, mix, y_prev),
         ]
         for consumer in consumers:
             with pytest.raises(ValueError, match="stale"):
@@ -132,6 +135,26 @@ class TestBuildsPerFit:
                                          max_iter=cycles, ar_order=ar))
             assert report.conv_iter == cycles
             assert len(count_builds) == 1 + 2 * cycles
+
+    @pytest.mark.parametrize("algorithm", ["mcecm", "ecme"])
+    @pytest.mark.parametrize("ar", [0, 1])
+    def test_three_locations_per_cycle(self, monkeypatch, algorithm, ar):
+        # the two geometries and the scale step's residuals; the start's
+        # geometry is the one more
+        data = sample(AR1 if ar else PLAIN, 300, seed=11)
+        calls = []
+        location = MsvgParams.location
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return location(self, *args, **kwargs)
+
+        monkeypatch.setattr(MsvgParams, "location", counted)
+        for cycles in (1, 4):
+            calls.clear()
+            fit(data, FitConfig(algorithm=algorithm, tol=1e-300, max_iter=cycles,
+                                ar_order=ar))
+            assert len(calls) == 1 + 3 * cycles
 
     def test_observed_info_builds_one(self, count_builds):
         p, y, _, _ = case("plain")

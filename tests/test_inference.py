@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import msvg
-from msvg.distribution import CenterGuard, MsvgParams, sample
+from msvg.distribution import CenterGuard, Geometry, MsvgParams, sample
 from msvg.ecm import FitConfig, fit, observed_loglik
 from msvg.inference import (
     InfoMatrix,
@@ -177,9 +177,9 @@ class TestCompleteScore:
                                       guarded=np.zeros(n, dtype=bool))
         stats = msvg.accumulate_suff_stats(y, mix)
         mu, gamma = msvg.cm_step_location_skew(stats, n)
-        from msvg.distribution import location_tag
-        mix.location_tag = location_tag(mu, gamma)
-        sigma = msvg.cm_step_scale(y, mu, gamma, mix, n)
+        point = MsvgParams(mu=mu, sigma=np.eye(d), gamma=gamma, nu=1.0)
+        mix.tag = Geometry.of(point, y).tag
+        sigma = msvg.cm_step_scale(y, point, mix)
         nu, _ = msvg.cm_step_shape_mcecm(stats, n, 1.0, (1e-4, 200.0))
         p = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=nu)
         score = complete_score(p, y, lam)

@@ -13,7 +13,6 @@ import pytest
 
 from msvg import specfun
 from msvg.specfun import (
-    OrderDiffStep,
     bessel_k_order_derivative,
     bessel_k_order_derivative_over_k,
     bessel_k_ratio,
@@ -255,12 +254,12 @@ class TestOrderDerivative:
 
     def test_frozen_degree_one(self):
         # Richardson-extrapolated high-precision differences
-        val = bessel_k_order_derivative(1.0, 2.0, OrderDiffStep(1e-5), degree=1)
+        val = bessel_k_order_derivative(1.0, 2.0, degree=1)
         assert val == pytest.approx(0.05694693637476672, rel=1e-7)
 
     def test_frozen_degree_two(self):
         # same oracle, degree 2; tolerance reflects float cancellation at h=1e-5
-        val = bessel_k_order_derivative(0.7, 1.5, OrderDiffStep(1e-5), degree=2)
+        val = bessel_k_order_derivative(0.7, 1.5, degree=2)
         assert val == pytest.approx(0.15558775159574093, rel=1e-2)
 
     def test_over_k_consistency(self):
@@ -272,8 +271,6 @@ class TestOrderDerivative:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             bessel_k_order_derivative(1.0, 1.0, degree=3)
-        with pytest.raises(ValueError):
-            OrderDiffStep(h=0.0)
         with pytest.raises(ValueError):
             bessel_k_order_derivative(1.0, -1.0)
 
