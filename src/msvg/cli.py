@@ -210,7 +210,7 @@ def cmd_fit(args) -> int:
 def cmd_grid(args) -> int:
     with open(args.params) as fh:
         blob = json.load(fh)
-    if "params" in blob:
+    if isinstance(blob, dict) and "params" in blob:
         blob = blob["params"]
     # an AR(1) block is gridded as its innovation plus the intercept
     params = replace(_params_from_json(blob), beta1=None)

@@ -7,7 +7,8 @@ Three fitting algorithms share one cycle structure:
   location/skew and scale blocks, and a safeguarded Newton-Raphson update of
   the shape parameter on the conditional gamma log-likelihood.
 * ``ecme`` -- identical except the shape update maximises the actual
-  marginal log-likelihood by bounded golden-section/parabolic search, which
+  marginal log-likelihood by Brent's bounded search (:func:`_bounded_brent`,
+  step for step SciPy's ``minimize_scalar(method="bounded")``), which
   avoids the conditional expectation of log lam entirely.
 * ``hecm`` -- runs MCECM to tolerance, then reverts to the iterate before
   the stopping test fired and finishes with ECME shape updates.
@@ -48,7 +49,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .distribution import (
     CenterGuard,
@@ -324,11 +324,89 @@ def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float,
     return nu, False
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float) -> float:
+    """Minimiser of ``func`` on ``[lo, hi]`` by Brent's method without
+    derivatives (golden section safeguarding parabolic interpolation;
+    Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5).
+
+    Step for step the bounded search of SciPy 1.17.1
+    (``minimize_scalar(method="bounded", options={"xatol": xatol})``): the
+    same trial points in the same order, the same stop after 500
+    evaluations, NaN values treated as ``np.sign``/``np.maximum`` treat
+    them, and the same returned point, so fits that used SciPy's search
+    reproduce bit for bit.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return float(xf)
+
+
 def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
                        guard: CenterGuard, y_prev: np.ndarray | None = None, *,
                        geometry: Geometry | None = None) -> float:
     """Shape update maximising the actual (capped) log-likelihood by
-    bounded golden-section / parabolic-interpolation search.
+    Brent's bounded search (:func:`_bounded_brent`, ``xatol=1e-6``; the
+    steps of SciPy's ``minimize_scalar(method="bounded")``).
 
     Only the shape varies, so Sigma is factorised and the residuals are
     whitened once (or not at all when ``geometry`` is handed in); each
@@ -339,9 +417,7 @@ def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
     def negll(nu: float) -> float:
         return -float(_osum(geometry.log_density(float(nu), guard)))
 
-    res = optimize.minimize_scalar(negll, bounds=bounds, method="bounded",
-                                   options={"xatol": 1e-6})
-    return float(res.x)
+    return _bounded_brent(negll, *bounds, xatol=1e-6)
 
 
 def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,
@@ -366,7 +442,8 @@ def _scale_params(params: MsvgParams, c: float) -> MsvgParams:
 
 def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
                             guard: CenterGuard) -> float:
-    # univariate line search of the actual log-likelihood over the location
+    # univariate line search of the actual log-likelihood over the location,
+    # by the bounded Brent search of _bounded_brent (SciPy's bounded method)
     lo = float(y.min())
     hi = float(y.max())
     span = max(hi - lo, math.sqrt(params.sigma[0, 0]))
@@ -376,9 +453,7 @@ def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
         trial = replace(params, mu=np.array([mu]))
         return -float(_osum(log_density(trial, y, guard=guard)))
 
-    res = optimize.minimize_scalar(negll, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-10 * max(1.0, hi - lo)})
-    return float(res.x)
+    return _bounded_brent(negll, lo, hi, xatol=1e-10 * max(1.0, hi - lo))
 
 
 def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str, config: FitConfig,

@@ -61,6 +61,8 @@ def _read_rows(path, date_column: str | None, columns: list[str] | None):
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{path}: no column(s) named {missing}")
+        if not columns:
+            raise ValueError(f"{path}: no value columns selected")
         col_idx = [header.index(c) for c in columns]
 
         rows, dropped = [], 0

@@ -90,7 +90,8 @@ def _map_tasks(tasks):
     if workers <= 1 or len(tasks) <= 1:
         return [_run_replicate(t) for t in tasks]
     try:
-        with ProcessPoolExecutor(max_workers=workers,
+        # a fork-started pool launches all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
                                  initializer=_one_kernel_thread) as pool:
             return list(pool.map(_run_replicate, tasks))
     except (OSError, RuntimeError) as exc:

@@ -1,5 +1,6 @@
 """End-to-end tests of the ``msvg`` command line, run in-process."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import msvg.cli
 from msvg.cli import information_summary, main
+from msvg.ecm import FitConfig
 from msvg.inference import InfoMatrix
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_prices.csv"
@@ -141,6 +143,22 @@ class TestFit:
             "condition_number": None, "positive_definite": False}
         assert information_summary(None) is None
 
+    def test_not_converged_exits_one_and_writes_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(msvg.cli, "FitConfig", functools.partial(FitConfig, max_iter=3))
+        prefix = tmp_path / "fit"
+        assert run_cli("fit", *PANEL_ARGS, "--out", prefix) == 1
+        assert json.loads(Path(f"{prefix}.json").read_text())["converged"] is False
+        assert "converged: False" in Path(f"{prefix}.txt").read_text()
+        assert f"wrote {prefix}.txt, {prefix}.json" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["fit", "summary"])
+    def test_no_value_columns_is_a_usage_error(self, tmp_path, capsys, command):
+        data = tmp_path / "dates.csv"
+        data.write_text("date\n2020-01-01\n2020-01-02\n2020-01-03\n")
+        out = ["--out", tmp_path / "o"] if command == "fit" else []
+        assert run_cli(command, "--data", data, "--date-column", "date", *out) == 2
+        assert "no value columns" in capsys.readouterr().err
+
     def test_printed_line_names_the_files(self, tmp_path, capsys):
         prefix = tmp_path / "fit"
         assert run_cli("fit", *PANEL_ARGS, "--tol", "1e-6", "--out", prefix) == 0
@@ -179,6 +197,15 @@ class TestGrid:
                        "--res", 2, "--out", tmp_path / "g.csv")
         assert code == 2
         assert "nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["params", 5, None], ids=["string", "number", "null"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, top):
+        bare = write_json(tmp_path / "p.json", top)
+        code = run_cli("grid", "--params", bare, "--xlim=-1,1", "--ylim=-1,1",
+                       "--res", 2, "--out", tmp_path / "g.csv")
+        assert code == 2
+        assert "parameter block must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestSimulate:

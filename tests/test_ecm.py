@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from msvg.ecm import (
     DegenerateMixingError,
     FitConfig,
     SuffStats,
+    _bounded_brent,
     _osum,
     accumulate_suff_stats,
     cm_step_ar,
@@ -346,6 +352,88 @@ class TestShapeSteps:
         nu = cm_step_shape_ecme(y, rep.params, (1e-4, 200.0),
                                 CenterGuard.default_for_dim(2))
         assert abs(nu - rep.params.nu) < 1e-3
+
+
+def recorded(func):
+    """``func`` plus the list of points it was called at, in call order."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(float(x))
+        return func(x)
+
+    return wrapped, calls
+
+
+def random_multimodal(rng):
+    """A sum of random sinusoids on a random parabola, and random bounds."""
+    k = int(rng.integers(1, 5))
+    amp, freq, phase = rng.uniform(0.1, 2.0, k), rng.uniform(0.5, 30.0, k), rng.uniform(0, 6.3, k)
+    curv, centre = rng.uniform(0.0, 3.0), rng.uniform(-2.0, 2.0)
+
+    def f(x):
+        return float(np.sum(amp * np.sin(freq * x + phase)) + curv * (x - centre) ** 2)
+
+    lo = rng.uniform(-3.0, 1.0)
+    return f, lo, lo + rng.uniform(0.01, 4.0)
+
+
+class TestBoundedBrent:
+    """The in-package bounded search against SciPy's, its reference: the same
+    trial points in the same order (so the same call count) and the same
+    returned point, bit for bit."""
+
+    @staticmethod
+    def assert_same_search(func, lo, hi, xatol):
+        ours, our_calls = recorded(func)
+        theirs, their_calls = recorded(func)
+        x = _bounded_brent(ours, lo, hi, xatol=xatol)
+        ref = optimize.minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
+                                       options={"xatol": xatol})
+        assert our_calls == their_calls
+        assert x == float(ref.x)
+        assert len(our_calls) == ref.nfev
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 2.0),
+        (lambda x: x, -1.0, 2.0),
+        (lambda x: -x, -1.0, 2.0),
+        (lambda x: 5.0, -1.0, 2.0),
+        (lambda x: abs(x - 0.7), 0.0, 1.0),
+        (lambda x: math.nan if x > 0.6 else (x - 0.2) ** 2, 0.0, 1.0),
+        (lambda x: math.nan if x < 0.5 else (x - 0.8) ** 2, 0.0, 1.0),
+        (lambda x: math.inf if x < 0.5 else (x - 0.8) ** 2, 0.0, 1.0),
+    ], ids=["quadratic", "lower-bound", "upper-bound", "constant", "abs",
+            "nan-above", "nan-at-first-trial", "inf-below"])
+    @pytest.mark.parametrize("xatol", [1e-10, 1e-6, 1e-4])
+    # inf - inf in the parabola of the inf case, in both searches
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_equals_scipy_on_shapes(self, func, lo, hi, xatol):
+        self.assert_same_search(func, lo, hi, xatol)
+
+    def test_equals_scipy_on_random_multimodal(self):
+        rng = np.random.default_rng(20150405)
+        for _ in range(300):
+            func, lo, hi = random_multimodal(rng)
+            self.assert_same_search(func, lo, hi, 10.0 ** rng.uniform(-10.0, -4.0))
+
+    def test_fit_imports_no_scipy_optimize(self):
+        script = textwrap.dedent("""
+            import sys
+            import msvg, msvg.cli
+            p = msvg.MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
+                                gamma=[0.2, 0.3], nu=2.5)
+            report = msvg.fit(msvg.sample(p, 200, seed=0), msvg.FitConfig(algorithm="hecm"))
+            assert report.switch_iter is not None, "HECM never switched to ECME"
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+            assert not loaded, loaded
+        """)
+        src = str(Path(msvg.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
 
 class TestObservedLoglik:

@@ -64,6 +64,13 @@ class TestLoadReturns:
         with pytest.raises(ValueError, match="no column"):
             load_returns(path, price_columns=["q"])
 
+    def test_no_value_columns(self, tmp_path):
+        path = write_csv(tmp_path, "date\n2020-01-01\n2020-01-02\n2020-01-03\n")
+        with pytest.raises(ValueError, match="no value columns"):
+            load_returns(path, date_column="date")
+        with pytest.raises(ValueError, match="no value columns"):
+            load_values(path, date_column="date")
+
     def test_simple_returns_option(self, tmp_path):
         path = write_csv(tmp_path, "p\n100\n110\n99\n")
         panel = load_returns(path, log_returns=False)

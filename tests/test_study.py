@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from msvg import study
 from msvg.distribution import MsvgParams, sample
 from msvg.ecm import FitConfig
 from msvg.study import StudySpec, delta_sweep, replicate_seed, run_study, skew_sweep
@@ -128,6 +129,30 @@ class TestRunStudy:
             assert s == p
             assert (serial.spec_json["cell_failure_reasons"]
                     == parallel.spec_json["cell_failure_reasons"])
+
+    @pytest.mark.parametrize("threads, r, expected", [("8", 2, 2), ("2", 3, 2)])
+    def test_pool_sized_by_replicates(self, monkeypatch, threads, r, expected):
+        # a stand-in executor that records its size and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("MSVG_THREADS", threads)
+        spec = small_spec(r=r, fit_config=FitConfig(algorithm="mcecm", max_iter=3))
+        run_study(spec)
+        assert sizes == [expected]
 
 
 class TestSweeps:
