@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +238,42 @@ def cmd_grid(args) -> int:
     return 0
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_numbers(value, name: str, length: int | None = None) -> None:
+    if (not isinstance(value, list) or not all(_is_number(x) for x in value)
+            or (length is not None and len(value) != length)):
+        count = "" if length is None else f"{length} "
+        raise SpecError(f"field {name!r} must be a list of {count}numbers")
+
+
+def _fit_config(fit_blob, algorithm: str) -> FitConfig:
+    """The ``fit`` block of a study spec as a :class:`FitConfig`; keys it
+    leaves out take the config's defaults."""
+    if not isinstance(fit_blob, dict):
+        raise SpecError("field 'fit' must be an object")
+    kwargs = {f.name: fit_blob[f.name] for f in fields(FitConfig)
+              if f.name != "init" and f.name in fit_blob}
+    kwargs.setdefault("algorithm", algorithm)
+    for key in ("tol", "scale_c", "delta_cap"):
+        if key in kwargs and not (_is_number(kwargs[key])
+                                  or key == "delta_cap" and kwargs[key] is None):
+            raise SpecError(f"field 'fit.{key}' must be a number")
+    if "nu_bounds" in kwargs:
+        _check_numbers(kwargs["nu_bounds"], "fit.nu_bounds", 2)
+        kwargs["nu_bounds"] = tuple(kwargs["nu_bounds"])
+    try:
+        return FitConfig(**kwargs)
+    except ValueError as exc:
+        raise SpecError(f"field 'fit': {exc}") from None
+
+
 def parse_study_spec(blob: dict) -> tuple[str, StudySpec]:
     """Validate and build a study spec from its JSON form."""
     if not isinstance(blob, dict):
@@ -251,40 +287,40 @@ def parse_study_spec(blob: dict) -> tuple[str, StudySpec]:
     params = _params_from_json(blob["true_params"])
     n = blob["n"]
     r = blob["r"]
-    if not isinstance(n, int) or n < 10 * params.d:
+    if not _is_int(n) or n < 10 * params.d:
         raise SpecError(f"field 'n' must be an integer >= {10 * params.d}")
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise SpecError("field 'r' must be an integer >= 1")
-    algorithms = tuple(blob.get("algorithms", ["hecm"]))
+    algorithms = blob.get("algorithms", ["hecm"])
+    if not isinstance(algorithms, list) or not algorithms:
+        raise SpecError("field 'algorithms' must be a non-empty list")
     for a in algorithms:
         if a not in ALGORITHMS:
             raise SpecError(f"field 'algorithms' may only contain {ALGORITHMS}, got {a!r}")
-    fit_blob = blob.get("fit", {})
-    if not isinstance(fit_blob, dict):
-        raise SpecError("field 'fit' must be an object")
-    try:
-        config = FitConfig(
-            algorithm=fit_blob.get("algorithm", algorithms[0]),
-            tol=fit_blob.get("tol", 1e-8),
-            max_iter=fit_blob.get("max_iter", 5000),
-            delta_cap=fit_blob.get("delta_cap"),
-            scale_c=fit_blob.get("scale_c", 100.0),
-            nu_bounds=tuple(fit_blob.get("nu_bounds", (1e-4, 200.0))),
-            ar_order=fit_blob.get("ar_order", 0),
-        )
-    except ValueError as exc:
-        raise SpecError(f"field 'fit': {exc}") from None
+    if len(set(algorithms)) < len(algorithms):
+        raise SpecError("field 'algorithms' lists an algorithm twice")
+    base_seed = blob.get("base_seed", 0)
+    if not _is_int(base_seed) or base_seed < 0:
+        raise SpecError("field 'base_seed' must be an integer >= 0")
     delta_levels = blob.get("delta_levels")
+    if delta_levels is not None:
+        _check_numbers(delta_levels, "delta_levels")
     gamma_levels = blob.get("gamma_levels")
+    if gamma_levels is not None:
+        if not isinstance(gamma_levels, list):
+            raise SpecError("field 'gamma_levels' must be a list of skew vectors")
+        for i, g in enumerate(gamma_levels):
+            _check_numbers(g, f"gamma_levels[{i}]", params.d)
     if kind == "delta_sweep" and not delta_levels:
         raise SpecError("field 'delta_levels' is required for a delta_sweep")
     if kind == "skew_sweep" and not gamma_levels:
         raise SpecError("field 'gamma_levels' is required for a skew_sweep")
+    config = _fit_config(blob.get("fit", {}), algorithms[0])
     try:
         spec = StudySpec(
             true_params=params, n=n, r=r,
-            base_seed=blob.get("base_seed", 0),
-            algorithms=algorithms,
+            base_seed=base_seed,
+            algorithms=tuple(algorithms),
             delta_levels=delta_levels,
             gamma_levels=[np.asarray(g, dtype=float) for g in gamma_levels]
             if gamma_levels else None,

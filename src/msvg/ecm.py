@@ -11,7 +11,11 @@ Three fitting algorithms share one cycle structure:
   step for step SciPy's ``minimize_scalar(method="bounded")``), which
   avoids the conditional expectation of log lam entirely.
 * ``hecm`` -- runs MCECM to tolerance, then reverts to the iterate before
-  the stopping test fired and finishes with ECME shape updates.
+  the stopping test fired and finishes with ECME shape updates.  The first
+  stage is the MCECM fit of the same data and configuration, so the report
+  keeps it (``FitReport.mcecm_stage``) and an algorithm race need not fit
+  MCECM again.  The d=1 constant-mean HECM fit adds a location line search
+  to every cycle; its first stage is not MCECM and is not kept.
 
 An extra expectation step is inserted between the location/skew update and
 the scale update: without it a single observation sitting on top of the
@@ -119,8 +123,9 @@ class FitConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not self.scale_c > 0:
             raise ValueError("scale_c must be positive")
         lo, hi = self.nu_bounds
@@ -132,7 +137,15 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Converged estimates plus the diagnostics of the run."""
+    """Converged estimates plus the diagnostics of the run.
+
+    ``mcecm_stage`` is set on an HECM fit with an MCECM first stage: the
+    report that an MCECM fit of the same data and configuration returns,
+    field for field and bit for bit, except ``wall_time``, which is this
+    fit's time up to the switch (or to ``max_iter`` when it never switched).
+    It is None for MCECM and ECME fits and for the d=1 constant-mean HECM
+    fit, whose first stage also searches the location.
+    """
 
     params: MsvgParams
     loglik_trace: np.ndarray
@@ -146,6 +159,7 @@ class FitReport:
     n_obs: int
     guarded_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     nu_hit_bound: bool = False
+    mcecm_stage: FitReport | None = None
 
 
 def initial_params(data: np.ndarray, ar_order: int = 0):
@@ -555,6 +569,8 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     algorithm = config.algorithm
     line_search_mu = algorithm == "hecm" and d == 1 and not ar
     nu_step = "ecme" if algorithm == "ecme" else "mcecm"
+    # the first stage of this HECM fit is the MCECM fit
+    keep_stage = algorithm == "hecm" and not line_search_mu
 
     geometry = Geometry.of(params, y, y_prev)
     ll_prev = observed_loglik(y, params, guard=guard, y_prev=y_prev,
@@ -562,9 +578,31 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     trace = [ll_prev]
     guarded_trace = []
     switch_iter = None
+    mcecm_stage = None
     converged = False
     nu_hit_bound = False
     conv_iter = 0
+
+    def report(algorithm: str, converged: bool, switch_iter=None,
+               mcecm_stage=None) -> FitReport:
+        # the report of the current iterate; the guarded count is taken by
+        # the E-step's rule
+        _, _, _, guarded = geometry.capped(params.nu, guard)
+        return FitReport(
+            params=_scale_params(params, 1.0 / c),
+            loglik_trace=np.asarray(trace),
+            final_loglik=trace[-1],
+            conv_iter=conv_iter,
+            switch_iter=switch_iter,
+            wall_time=time.perf_counter() - t0,
+            guarded_count_final=int(np.sum(guarded)),
+            converged=converged,
+            algorithm=algorithm,
+            n_obs=n_eff,
+            guarded_trace=np.asarray(guarded_trace, dtype=int),
+            nu_hit_bound=nu_hit_bound,
+            mcecm_stage=mcecm_stage,
+        )
 
     for t in range(1, config.max_iter + 1):
         prev_params, prev_geometry, prev_ll = params, geometry, ll_prev
@@ -578,6 +616,9 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
         conv_iter = t
         if abs(ll - ll_prev) < config.tol * (abs(ll) + 1.0):
             if algorithm == "hecm" and nu_step == "mcecm":
+                if keep_stage:
+                    # where the MCECM fit stops, converged
+                    mcecm_stage = report("mcecm", True)
                 # revert one iterate and finish with ECME shape updates
                 switch_iter = t
                 nu_step = "ecme"
@@ -587,27 +628,13 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
             break
         ll_prev = ll
 
-    final_params = _scale_params(params, 1.0 / c)
-    if final_params.ar and not final_params.stationary:
+    if keep_stage and mcecm_stage is None:
+        # never switched: the MCECM fit also ran out of cycles here
+        mcecm_stage = report("mcecm", False)
+    result = report(algorithm, converged, switch_iter, mcecm_stage)
+    if result.params.ar and not result.params.stationary:
         warnings.warn(
             f"fitted AR matrix has spectral radius "
-            f"{final_params.spectral_radius:.4f} >= 1 (non-stationary mean)",
+            f"{result.params.spectral_radius:.4f} >= 1 (non-stationary mean)",
             RuntimeWarning)
-
-    # guarded count at the final iterate, by the E-step's rule
-    _, _, _, guarded = geometry.capped(params.nu, guard)
-
-    return FitReport(
-        params=final_params,
-        loglik_trace=np.asarray(trace),
-        final_loglik=trace[-1],
-        conv_iter=conv_iter,
-        switch_iter=switch_iter,
-        wall_time=time.perf_counter() - t0,
-        guarded_count_final=int(np.sum(guarded)),
-        converged=converged,
-        algorithm=algorithm,
-        n_obs=n_eff,
-        guarded_trace=np.asarray(guarded_trace, dtype=int),
-        nu_hit_bound=nu_hit_bound,
-    )
+    return result

@@ -4,7 +4,11 @@ threshold/skewness sweeps with aggregate tables.
 Every cell of a study is a (algorithm, delta threshold, skew level) triple.
 Replicate datasets depend only on the base seed, the replicate index and
 the cell's true parameters, so the same datasets are refitted across
-algorithms and across delta levels.  Replicates may run in parallel;
+algorithms and across delta levels.  An HECM fit contains the MCECM fit of
+its replicate (:attr:`msvg.ecm.FitReport.mcecm_stage`), so when a study
+lists both, each (delta, skew) block runs its HECM cell first and reads the
+MCECM cell from those fits; MCECM is fitted afresh only for a replicate
+whose HECM fit raised or kept no stage.  Replicates may run in parallel;
 aggregation folds over the replicate index, so the output is identical
 regardless of scheduling.  ``MSVG_THREADS`` (0 = auto, see
 :func:`msvg.specfun.thread_count`) caps both the worker processes of a study
@@ -12,7 +16,8 @@ and the threads of the Bessel kernel; the workers already fill the cores, so
 each runs its kernel on one thread.
 
 The sidecar written next to the table records, per cell, the summed fit wall
-time (``cell_wall_times``) and how often each reason ended a failed
+time (``cell_wall_times``; for an MCECM cell read from HECM fits, their time
+up to the switch) and how often each reason ended a failed
 replicate (``cell_failure_reasons``: the exception text, or "not converged"
 for a fit that reached ``max_iter``).
 """
@@ -63,14 +68,8 @@ def replicate_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_replicate(task):
-    true_params, n, seed, config = task
-    data = sample(true_params, n, seed=seed)
-    try:
-        report = fit(data, config)
-    except Exception as exc:  # noqa: BLE001 - a failed replicate must not kill the cell
-        return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
-    out = {
+def _replicate_result(report) -> dict:
+    return {
         "converged": bool(report.converged),
         "estimates": flatten_params(report.params),
         "final_loglik": report.final_loglik,
@@ -78,6 +77,18 @@ def _run_replicate(task):
         "switch_iter": report.switch_iter,
         "wall_time": report.wall_time,
     }
+
+
+def _run_replicate(task):
+    true_params, n, seed, config = task
+    data = sample(true_params, n, seed=seed)
+    try:
+        report = fit(data, config)
+    except Exception as exc:  # noqa: BLE001 - a failed replicate must not kill the cell
+        return {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
+    out = _replicate_result(report)
+    if report.mcecm_stage is not None:
+        out["mcecm_stage"] = _replicate_result(report.mcecm_stage)
     return out
 
 
@@ -184,13 +195,27 @@ def _aggregate_cell(results, labels) -> dict[str, float]:
     return stats
 
 
+def _mcecm_from_stages(hecm_results, tasks):
+    """MCECM replicate results read from the HECM results of the same
+    replicates; a replicate without a stage is fitted by its own task."""
+    results = [r.get("mcecm_stage") for r in hecm_results]
+    missing = [i for i, r in enumerate(results) if r is None]
+    for i, result in zip(missing, _map_tasks([tasks[i] for i in missing])):
+        results[i] = result
+    return results
+
+
 def _failure_reasons(results) -> dict[str, int]:
     reasons = Counter(r.get("error", "not converged") for r in results if not r["converged"])
     return dict(sorted(reasons.items()))
 
 
 def run_study(spec: StudySpec) -> StudyTable:
-    """Fit every (algorithm, delta, gamma) cell over shared replicate datasets."""
+    """Fit every (algorithm, delta, gamma) cell over shared replicate datasets.
+
+    Rows come in spec order; an MCECM cell is read from the HECM fits of its
+    block when the spec lists both.
+    """
     t0 = time.perf_counter()
     deltas = spec.delta_levels if spec.delta_levels else [spec.fit_config.delta_cap]
     gammas = spec.gamma_levels if spec.gamma_levels else [spec.true_params.gamma]
@@ -202,15 +227,22 @@ def run_study(spec: StudySpec) -> StudyTable:
     for gamma in gammas:
         cell_true = replace(spec.true_params, gamma=np.asarray(gamma, dtype=float))
         seeds = [replicate_seed(spec.base_seed, i) for i in range(spec.r)]
+        gamma_key = "|".join(repr(float(g)) for g in np.asarray(gamma))
         for delta in deltas:
-            for algorithm in spec.algorithms:
+            delta_key = repr(float(delta)) if delta is not None else "default"
+            cells = {}
+            # HECM first: its fits carry the MCECM cell's
+            for algorithm in sorted(spec.algorithms, key=lambda a: a != "hecm"):
                 config = replace(spec.fit_config, algorithm=algorithm,
                                  delta_cap=delta)
                 tasks = [(cell_true, spec.n, s, config) for s in seeds]
-                results = _map_tasks(tasks)
+                if algorithm == "mcecm" and "hecm" in cells:
+                    cells[algorithm] = _mcecm_from_stages(cells["hecm"], tasks)
+                else:
+                    cells[algorithm] = _map_tasks(tasks)
+            for algorithm in spec.algorithms:
+                results = cells[algorithm]
                 stats = _aggregate_cell(results, labels)
-                gamma_key = "|".join(repr(float(g)) for g in np.asarray(gamma))
-                delta_key = repr(float(delta)) if delta is not None else "default"
                 # timing lives in the sidecar: the CSV stays byte-stable
                 cell_key = f"{algorithm},{delta_key},{gamma_key}"
                 wall_times[cell_key] = round(

@@ -258,6 +258,28 @@ class TestSimulate:
         assert "nu" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("algorithms", [], "non-empty list"),
+        ("algorithms", "hecm", "non-empty list"),
+        ("algorithms", ["hecm", "hecm"], "twice"),
+        ("delta_levels", 0.001, "'delta_levels' must be a list of numbers"),
+        ("delta_levels", ["a"], "'delta_levels' must be a list of numbers"),
+        ("gamma_levels", 0.5, "'gamma_levels' must be a list"),
+        ("gamma_levels", [[0.1, 0.2, 0.3]], "'gamma_levels[0]' must be a list of 2 numbers"),
+        ("base_seed", "x", "'base_seed' must be an integer"),
+        ("fit", {"nu_bounds": 5}, "'fit.nu_bounds' must be a list of 2 numbers"),
+        ("fit", {"tol": "x"}, "'fit.tol' must be a number"),
+        ("fit", {"max_iter": 2.5}, "max_iter must be an integer"),
+    ], ids=["algorithms-empty", "algorithms-string", "algorithms-duplicate",
+            "delta-number", "delta-string", "gamma-number", "gamma-length",
+            "seed-string", "nu_bounds-number", "tol-string", "max_iter-float"])
+    def test_schema_error_exits_two(self, tmp_path, capsys, field, value, message):
+        spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, field: value})
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o" / "study.csv").exists()
+
 
 class TestSummary:
     def test_summary_file_and_stdout(self, tmp_path, capsys):

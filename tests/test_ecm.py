@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -46,6 +47,7 @@ from oracles import (
 
 BASE = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
                   gamma=[0.2, 0.3], nu=2.5)
+FIXTURE = Path(__file__).parent / "data" / "fixture_prices.csv"
 
 
 def at(mu, gamma):
@@ -572,6 +574,11 @@ class TestFit:
         with pytest.raises(ValueError, match="singular"):
             fit(data)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 5000.0, "10", True, 0])
+    def test_config_rejects_bad_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            FitConfig(max_iter=max_iter)
+
     def test_init_must_match_ar_order(self):
         data = sample(BASE, 200, seed=31)
         with pytest.raises(ValueError, match="lack the AR"):
@@ -588,6 +595,78 @@ class TestFit:
         assert rep.guarded_count_final >= 0
         assert rep.algorithm == "mcecm"
         assert rep.n_obs == 400
+
+
+def differing_fields(a, b, prefix="") -> list[str]:
+    """Names of the fields in which two reports (or parameter sets) differ,
+    bit for bit; the wall time is not compared."""
+    out = []
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        name = prefix + f.name
+        if f.name == "wall_time":
+            continue
+        if dataclasses.is_dataclass(x) and dataclasses.is_dataclass(y):
+            out += differing_fields(x, y, name + ".")
+        elif x is None or y is None:
+            if x is not y:
+                out.append(name)
+        elif type(x) is not type(y):
+            out.append(name)
+        else:
+            u, v = np.asarray(x), np.asarray(y)
+            if u.dtype != v.dtype or u.shape != v.shape or u.tobytes() != v.tobytes():
+                out.append(name)
+    return out
+
+
+def fixture_values():
+    return msvg.load_returns(FIXTURE, date_column="date").values
+
+
+class TestMcecmStage:
+    @pytest.mark.parametrize("case", [
+        "fixture", "fixture_ar1", "nu0.6_delta1e-7", "nu0.6_delta1e-4", "nu0.6_default",
+        "max_iter"])
+    def test_stage_is_the_mcecm_fit(self, case):
+        guarded = sample(replace(BASE, nu=0.6), 400, seed=5)
+        data, config = {
+            "fixture": (fixture_values(), FitConfig(tol=1e-6)),
+            "fixture_ar1": (fixture_values(), FitConfig(tol=1e-6, ar_order=1)),
+            "nu0.6_delta1e-7": (guarded, FitConfig(delta_cap=1e-7)),
+            "nu0.6_delta1e-4": (guarded, FitConfig(delta_cap=1e-4)),
+            "nu0.6_default": (guarded, FitConfig()),
+            # stops at max_iter before the stopping test fires
+            "max_iter": (guarded, FitConfig(max_iter=5)),
+        }[case]
+        hecm = fit(data, replace(config, algorithm="hecm"))
+        mcecm = fit(data, replace(config, algorithm="mcecm"))
+        stage = hecm.mcecm_stage
+        assert stage is not None
+        assert differing_fields(stage, mcecm) == []
+        assert stage.switch_iter is None and stage.mcecm_stage is None
+        if case == "max_iter":
+            assert hecm.switch_iter is None and not stage.converged
+            assert stage.conv_iter == hecm.conv_iter == 5
+        else:
+            assert stage.converged and stage.conv_iter == hecm.switch_iter
+            np.testing.assert_array_equal(
+                hecm.loglik_trace[:hecm.switch_iter + 1], stage.loglik_trace)
+        assert 0.0 < stage.wall_time <= hecm.wall_time
+
+    def test_no_stage_outside_hecm(self):
+        data = sample(BASE, 300, seed=2)
+        for algorithm in ("mcecm", "ecme"):
+            assert fit(data, FitConfig(algorithm=algorithm)).mcecm_stage is None
+        # the d=1 HECM fit searches the location in its first stage
+        univariate = sample(MsvgParams(mu=[0.0], sigma=[[1.0]], gamma=[0.2], nu=1.0),
+                            300, seed=3)
+        rep = fit(univariate, FitConfig(algorithm="hecm"))
+        assert rep.switch_iter is not None
+        assert rep.mcecm_stage is None
+        rep = fit(univariate, FitConfig(algorithm="hecm", max_iter=5))
+        assert rep.switch_iter is None
+        assert rep.mcecm_stage is None
 
 
 class TestCompleteDataConsistency:

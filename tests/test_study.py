@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from msvg import study
+from msvg import ecm, study
 from msvg.distribution import MsvgParams, sample
 from msvg.ecm import FitConfig
 from msvg.study import StudySpec, delta_sweep, replicate_seed, run_study, skew_sweep
@@ -153,6 +154,71 @@ class TestRunStudy:
         spec = small_spec(r=r, fit_config=FitConfig(algorithm="mcecm", max_iter=3))
         run_study(spec)
         assert sizes == [expected]
+
+
+def counted_fit(monkeypatch, keep_stage=True):
+    """Replace the study's fit by one that records each call's algorithm and,
+    with ``keep_stage=False``, drops the MCECM stage of an HECM report."""
+    calls = []
+
+    def fit(data, config):
+        calls.append(config.algorithm)
+        report = ecm.fit(data, config)
+        return report if keep_stage else dataclasses.replace(report, mcecm_stage=None)
+
+    monkeypatch.setattr(study, "fit", fit)
+    return calls
+
+
+class TestMcecmFromHecm:
+    def race(self, r):
+        # 3 algorithms x 2 deltas x 2 skew levels = 12 cells
+        return small_spec(n=150, r=r, algorithms=("mcecm", "ecme", "hecm"),
+                          fit_config=FitConfig(tol=1e-6),
+                          delta_levels=[1e-7, 1e-4],
+                          gamma_levels=[np.array([0.2, 0.3]), np.array([0.5, 2.0])])
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_shared_study_matches_unshared(self, monkeypatch, tmp_path, r):
+        spec = self.race(r)
+        tables, calls = {}, {}
+        for keep in (True, False):
+            calls[keep] = counted_fit(monkeypatch, keep_stage=keep)
+            tables[keep] = run_study(spec)
+            tables[keep].write_csv(tmp_path / f"{keep}.csv")
+        assert (tmp_path / "True.csv").read_bytes() == (tmp_path / "False.csv").read_bytes()
+        shared, unshared = tables[True].spec_json, tables[False].spec_json
+        assert list(shared["cell_wall_times"]) == list(unshared["cell_wall_times"])
+        assert shared["cell_failure_reasons"] == unshared["cell_failure_reasons"]
+        # one HECM and one ECME fit per replicate and block; MCECM is read off
+        assert len(calls[False]) == 12 * r
+        assert len(calls[True]) == 8 * r
+        assert "mcecm" not in calls[True]
+
+    def test_mcecm_fitted_when_hecm_raises(self, monkeypatch):
+        # HECM fails after its switch: the MCECM cell still gets its own fit
+        calls = []
+
+        def fit(data, config):
+            calls.append(config.algorithm)
+            report = ecm.fit(data, config)
+            if config.algorithm == "hecm":
+                assert report.mcecm_stage is not None
+                raise RuntimeError("failed after the switch")
+            return report
+
+        monkeypatch.setattr(study, "fit", fit)
+        spec = small_spec(algorithms=("mcecm", "hecm"))
+        table = run_study(spec)
+        assert calls == ["hecm"] * spec.r + ["mcecm"] * spec.r
+        hecm = table.cell(algorithm="hecm")
+        assert hecm["n_failed"] == spec.r
+        reasons = table.spec_json["cell_failure_reasons"]
+        assert reasons["hecm,default,0.2|0.3"] == {
+            "RuntimeError: failed after the switch": spec.r}
+        monkeypatch.setattr(study, "fit", ecm.fit)
+        alone = run_study(small_spec(algorithms=("mcecm",)))
+        assert table.cell(algorithm="mcecm") == alone.cell(algorithm="mcecm")
 
 
 class TestSweeps:
