@@ -148,7 +148,6 @@ def cmd_fit(args) -> int:
         "tol": args.tol,
         "delta_cap": args.delta,
         "scale_c": args.scale,
-        "seed": args.seed,
         "converged": report.converged,
         "conv_iter": report.conv_iter,
         "switch_iter": report.switch_iter,
@@ -253,13 +252,27 @@ def _check_numbers(value, name: str, length: int | None = None) -> None:
         raise SpecError(f"field {name!r} must be a list of {count}numbers")
 
 
+# the keys of a study spec; the last three are those the study sidecar adds,
+# so that a sidecar reruns as a spec
+_SPEC_KEYS = ("kind", "true_params", "n", "r", "base_seed", "algorithms",
+              "delta_levels", "gamma_levels", "fit",
+              "cell_wall_times", "cell_failure_reasons", "elapsed_seconds")
+
+
+def _reject_unknown(blob: dict, known, prefix: str = "") -> None:
+    for key in blob:
+        if key not in known:
+            raise SpecError(f"unknown field {prefix + key!r}")
+
+
 def _fit_config(fit_blob, algorithm: str) -> FitConfig:
     """The ``fit`` block of a study spec as a :class:`FitConfig`; keys it
     leaves out take the config's defaults."""
     if not isinstance(fit_blob, dict):
         raise SpecError("field 'fit' must be an object")
-    kwargs = {f.name: fit_blob[f.name] for f in fields(FitConfig)
-              if f.name != "init" and f.name in fit_blob}
+    names = [f.name for f in fields(FitConfig) if f.name != "init"]
+    _reject_unknown(fit_blob, names, "fit.")
+    kwargs = {name: fit_blob[name] for name in names if name in fit_blob}
     kwargs.setdefault("algorithm", algorithm)
     for key in ("tol", "scale_c", "delta_cap"):
         if key in kwargs and not (_is_number(kwargs[key])
@@ -278,6 +291,7 @@ def parse_study_spec(blob: dict) -> tuple[str, StudySpec]:
     """Validate and build a study spec from its JSON form."""
     if not isinstance(blob, dict):
         raise SpecError("study spec must be a JSON object")
+    _reject_unknown(blob, _SPEC_KEYS)
     kind = blob.get("kind", "study")
     if kind not in ("study", "delta_sweep", "skew_sweep"):
         raise SpecError(f"field 'kind' must be study|delta_sweep|skew_sweep, got {kind!r}")
@@ -393,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--delta", type=float, default=None,
                        help="delta-region threshold (default by dimension)")
     p_fit.add_argument("--scale", type=float, default=100.0)
-    p_fit.add_argument("--seed", type=int, default=0,
-                       help="recorded in the report for provenance")
     p_fit.add_argument("--out", required=True, help="output path prefix")
     p_fit.set_defaults(func=cmd_fit)
 

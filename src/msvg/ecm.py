@@ -9,7 +9,9 @@ Three fitting algorithms share one cycle structure:
 * ``ecme`` -- identical except the shape update maximises the actual
   marginal log-likelihood by Brent's bounded search (:func:`_bounded_brent`,
   step for step SciPy's ``minimize_scalar(method="bounded")``), which
-  avoids the conditional expectation of log lam entirely.
+  avoids the conditional expectation of log lam entirely.  The search is
+  warm-bracketed on [nu/2, 2 nu] around the last nu and widens by 4 on
+  both sides while its optimum sits on an inner edge.
 * ``hecm`` -- runs MCECM to tolerance, then reverts to the iterate before
   the stopping test fired and finishes with ECME shape updates.  The first
   stage is the MCECM fit of the same data and configuration, so the report
@@ -422,6 +424,12 @@ def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
     Brent's bounded search (:func:`_bounded_brent`, ``xatol=1e-6``; the
     steps of SciPy's ``minimize_scalar(method="bounded")``).
 
+    The search is warm: it starts on [nu/2, 2 nu] around the incoming
+    ``params.nu`` (clipped to ``bounds``), since nu moves little between
+    cycles.  While the optimum lies within 1e-5 of an edge that is not a
+    bound, both edges move out by a factor of 4, clipped to ``bounds``, and
+    the search runs again; an optimum on a bound is returned as it is.
+
     Only the shape varies, so Sigma is factorised and the residuals are
     whitened once (or not at all when ``geometry`` is handed in); each
     trial costs one Bessel evaluation.
@@ -431,7 +439,15 @@ def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
     def negll(nu: float) -> float:
         return -float(_osum(geometry.log_density(float(nu), guard)))
 
-    return _bounded_brent(negll, *bounds, xatol=1e-6)
+    lo_bound, hi_bound = bounds
+    start = min(max(params.nu, lo_bound), hi_bound)
+    lo, hi = max(lo_bound, start / 2.0), min(hi_bound, start * 2.0)
+    while True:
+        nu = _bounded_brent(negll, lo, hi, xatol=1e-6)
+        if not ((lo > lo_bound and nu - lo < 1e-5)
+                or (hi < hi_bound and hi - nu < 1e-5)):
+            return nu
+        lo, hi = max(lo_bound, lo / 4.0), min(hi_bound, hi * 4.0)
 
 
 def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,

@@ -90,6 +90,15 @@ class TestFit:
         else:
             assert blob["standard_errors"] == {}
 
+    def test_report_records_no_seed(self, fitted, tmp_path):
+        # a fit draws no random numbers, so neither the report nor the CLI
+        # carries a seed
+        blob = json.loads(Path(f"{fitted[1][0][1]}.json").read_text())
+        assert "seed" not in blob
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", *PANEL_ARGS, "--seed", 1, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+
     def test_information_block(self, fitted):
         # at tol 1e-6 the plain fixture fit converges to a point whose
         # observed information is indefinite; the report says so
@@ -270,9 +279,12 @@ class TestSimulate:
         ("fit", {"nu_bounds": 5}, "'fit.nu_bounds' must be a list of 2 numbers"),
         ("fit", {"tol": "x"}, "'fit.tol' must be a number"),
         ("fit", {"max_iter": 2.5}, "max_iter must be an integer"),
+        ("algorithm", ["ecme"], "unknown field 'algorithm'"),
+        ("fit", {"max_iters": 1}, "unknown field 'fit.max_iters'"),
     ], ids=["algorithms-empty", "algorithms-string", "algorithms-duplicate",
             "delta-number", "delta-string", "gamma-number", "gamma-length",
-            "seed-string", "nu_bounds-number", "tol-string", "max_iter-float"])
+            "seed-string", "nu_bounds-number", "tol-string", "max_iter-float",
+            "unknown-key", "unknown-fit-key"])
     def test_schema_error_exits_two(self, tmp_path, capsys, field, value, message):
         spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, field: value})
         assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2

@@ -321,28 +321,72 @@ class TestShapeSteps:
         assert abs(grid[int(np.argmax(lls))] - nu) <= 2e-3
 
     def test_ecme_monotone_edge_returns_bound(self):
+        # from nu=1 the warm bracket widens four times before it reaches the
+        # bound; a start above the bound is clipped to it, so the bracket's
+        # upper edge is the bound from the start
         y = np.array([[-1.0], [1.0], [-1.0]])
-        q = MsvgParams(mu=[-1.0 / 3.0], sigma=[[8.0 / 9.0]], gamma=[0.0], nu=1.0)
-        nu = cm_step_shape_ecme(y, q, (1e-4, 200.0), CenterGuard(1e-4))
-        assert nu == pytest.approx(200.0, abs=1e-3)
+        for start in (1.0, 1000.0):
+            q = MsvgParams(mu=[-1.0 / 3.0], sigma=[[8.0 / 9.0]], gamma=[0.0], nu=start)
+            nu = cm_step_shape_ecme(y, q, (1e-4, 200.0), CenterGuard(1e-4))
+            assert nu == pytest.approx(200.0, abs=1e-5)
 
     @pytest.mark.parametrize("ar", [False, True], ids=["plain", "ar1"])
     def test_ecme_equals_per_trial_density_search(self, ar):
-        true = replace(BASE, nu=1.5, beta1=[[0.4, 0.1], [-0.2, 0.3]] if ar else None)
-        x = sample(true, 501, seed=32)
-        y, y_prev = (x[1:], x[:-1]) if ar else (x, None)
-        start = replace(true, mu=np.array([0.05, -0.1]), nu=4.0)
-        guard = CenterGuard(1e-3)
-        bounds = (1e-4, 200.0)
+        y, y_prev, start, guard = shape_step_case(ar)
 
         # the bounded search written out with one full density per trial,
-        # summed in the shape step's order-canonical way
+        # summed in the shape step's order-canonical way, over the warm
+        # bracket sequence: [nu/2, 2 nu] around the start nu=4, whose
+        # optimum sits on the inner edge 2, then that bracket widened by 4
         def negll(v):
             return -float(_osum(msvg.log_density(replace(start, nu=v), y, guard, y_prev)))
 
-        ref = optimize.minimize_scalar(negll, bounds=bounds, method="bounded",
-                                       options={"xatol": 1e-6})
-        assert cm_step_shape_ecme(y, start, bounds, guard, y_prev=y_prev) == float(ref.x)
+        first, widened = (optimize.minimize_scalar(negll, bounds=b, method="bounded",
+                                                   options={"xatol": 1e-6}).x
+                          for b in [(2.0, 8.0), (0.5, 32.0)])
+        assert first - 2.0 < 1e-5
+        assert 0.5 + 1e-5 < widened < 32.0 - 1e-5
+        assert cm_step_shape_ecme(y, start, (1e-4, 200.0), guard,
+                                  y_prev=y_prev) == float(widened)
+
+    @pytest.mark.parametrize("case", ["plain", "ar1", "guarded"])
+    def test_ecme_warm_matches_full_range_search(self, case):
+        if case == "guarded":
+            true = replace(BASE, nu=0.6)
+            y, y_prev, guard = sample(true, 400, seed=7), None, CenterGuard(1e-7)
+            start = replace(true, mu=np.array([0.02, -0.03]), nu=1.0)
+        else:
+            y, y_prev, start, guard = shape_step_case(case == "ar1")
+        geometry = Geometry.of(start, y, y_prev)
+
+        def loglik(v):
+            return float(_osum(geometry.log_density(v, guard)))
+
+        cold = _bounded_brent(lambda v: -loglik(v), 1e-4, 200.0, xatol=1e-6)
+        warm = cm_step_shape_ecme(y, start, (1e-4, 200.0), guard, y_prev=y_prev,
+                                  geometry=geometry)
+        assert loglik(warm) >= loglik(cold) - 1e-10 * abs(loglik(cold))
+
+    def test_ecme_warm_step_at_converged_nu_is_cheaper(self, monkeypatch):
+        y = sample(BASE, 800, seed=5)
+        rep = fit(y, FitConfig(algorithm="ecme", scale_c=1.0))
+        assert rep.converged
+        guard = CenterGuard.default_for_dim(2)
+        geometry = Geometry.of(rep.params, y)
+        calls = []
+        density = Geometry.log_density
+
+        def counted(self, nu, guard=None):
+            calls.append(nu)
+            return density(self, nu, guard)
+
+        monkeypatch.setattr(Geometry, "log_density", counted)
+        warm = cm_step_shape_ecme(y, rep.params, (1e-4, 200.0), guard, geometry=geometry)
+        n_warm = len(calls)
+        cold = _bounded_brent(lambda v: -float(_osum(geometry.log_density(v, guard))),
+                              1e-4, 200.0, xatol=1e-6)
+        assert n_warm < len(calls) - n_warm
+        assert warm == pytest.approx(cold, abs=1e-5)
 
     def test_ecme_agrees_with_converged_mcecm(self):
         # near a stationary point the actual-likelihood shape step barely
@@ -354,6 +398,15 @@ class TestShapeSteps:
         nu = cm_step_shape_ecme(y, rep.params, (1e-4, 200.0),
                                 CenterGuard.default_for_dim(2))
         assert abs(nu - rep.params.nu) < 1e-3
+
+
+def shape_step_case(ar):
+    """Data, lagged rows, start point and guard of the ECME shape-step tests:
+    nu=1.5 data, searched from nu=4."""
+    true = replace(BASE, nu=1.5, beta1=[[0.4, 0.1], [-0.2, 0.3]] if ar else None)
+    x = sample(true, 501, seed=32)
+    y, y_prev = (x[1:], x[:-1]) if ar else (x, None)
+    return y, y_prev, replace(true, mu=np.array([0.05, -0.1]), nu=4.0), CenterGuard(1e-3)
 
 
 def recorded(func):
