@@ -55,9 +55,7 @@ from .inference import (
 )
 from .returns import ReturnsPanel, load_returns, load_values, summary_statistics
 from .specfun import (
-    bessel_k_order_derivative,
     bessel_k_order_derivative_over_k,
-    bessel_k_ratio,
     digamma,
     log_bessel_k,
     log_gamma,
@@ -82,9 +80,7 @@ __all__ = [
     "SuffStats",
     "accumulate_suff_stats",
     "aicc",
-    "bessel_k_order_derivative",
     "bessel_k_order_derivative_over_k",
-    "bessel_k_ratio",
     "cm_step_ar",
     "cm_step_location_skew",
     "cm_step_scale",

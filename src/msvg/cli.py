@@ -48,7 +48,7 @@ def _load_panel(args) -> ReturnsPanel:
         return load_values(args.data, date_column=args.date_column,
                            value_columns=columns)
     return load_returns(args.data, date_column=args.date_column,
-                        price_columns=columns, log_returns=True)
+                        price_columns=columns)
 
 
 def _params_from_json(blob: dict) -> MsvgParams:
@@ -118,8 +118,7 @@ def cmd_fit(args) -> int:
                        ar_order=args.ar)
     report = fit(panel.values, config)
     params = report.params
-    guard = (CenterGuard(args.delta) if args.delta is not None
-             else CenterGuard.default_for_dim(params.d))
+    guard = CenterGuard(args.delta) if args.delta is not None else None
 
     ses: dict[str, float] = {}
     se_error = None
@@ -219,8 +218,7 @@ def cmd_grid(args) -> int:
     ylim = tuple(float(v) for v in args.ylim.split(","))
     if len(xlim) != 2 or len(ylim) != 2:
         raise SpecError("xlim/ylim must be 'low,high'")
-    guard = (CenterGuard(args.delta) if args.delta is not None
-             else CenterGuard.default_for_dim(2))
+    guard = CenterGuard(args.delta) if args.delta is not None else None
     values = density_grid(params, xlim, ylim, args.res, guard=guard)
     dx = (xlim[1] - xlim[0]) / args.res
     dy = (ylim[1] - ylim[0]) / args.res
@@ -278,9 +276,6 @@ def _fit_config(fit_blob, algorithm: str) -> FitConfig:
         if key in kwargs and not (_is_number(kwargs[key])
                                   or key == "delta_cap" and kwargs[key] is None):
             raise SpecError(f"field 'fit.{key}' must be a number")
-    if "nu_bounds" in kwargs:
-        _check_numbers(kwargs["nu_bounds"], "fit.nu_bounds", 2)
-        kwargs["nu_bounds"] = tuple(kwargs["nu_bounds"])
     try:
         return FitConfig(**kwargs)
     except ValueError as exc:
@@ -437,9 +432,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

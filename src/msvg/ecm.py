@@ -71,6 +71,8 @@ ALGORITHMS = ("mcecm", "ecme", "hecm")
 
 # a fit needs more than this many modelled observations per dimension
 MIN_OBS_PER_DIM = 10
+# the interval the shape steps search for nu
+NU_BOUNDS = (1e-4, 200.0)
 
 
 class DegenerateMixingError(RuntimeError):
@@ -116,23 +118,21 @@ class FitConfig:
     max_iter: int = 5000
     delta_cap: float | None = None
     scale_c: float = 100.0
-    nu_bounds: tuple[float, float] = (1e-4, 200.0)
     ar_order: int = 0
     init: MsvgParams | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
                 or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not self.scale_c > 0:
-            raise ValueError("scale_c must be positive")
-        lo, hi = self.nu_bounds
-        if not (0 < lo < hi):
-            raise ValueError("nu_bounds must satisfy 0 < lo < hi")
+        if not 0 < self.scale_c < math.inf:
+            raise ValueError(f"scale_c must be positive and finite, got {self.scale_c!r}")
+        if self.delta_cap is not None:
+            CenterGuard(self.delta_cap)
         if self.ar_order not in (0, 1):
             raise ValueError("ar_order must be 0 or 1")
 
@@ -486,7 +486,7 @@ def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
     return _bounded_brent(negll, lo, hi, xatol=1e-10 * max(1.0, hi - lo))
 
 
-def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str, config: FitConfig,
+def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str,
                line_search_mu: bool):
     """One full ECM cycle from ``params`` and its ``geometry``; returns (new
     params, their geometry, guarded count, nu flag)."""
@@ -534,10 +534,10 @@ def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str, config: FitConf
         mix2 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
                                         geometry=geometry)
         stats2 = accumulate_suff_stats(y, mix2, ar_order=0)
-        nu, nu_at_bound = cm_step_shape_mcecm(stats2, n, trial.nu, config.nu_bounds)
+        nu, nu_at_bound = cm_step_shape_mcecm(stats2, n, trial.nu, NU_BOUNDS)
         guarded = int(mix2.guarded.sum())
     else:
-        nu = cm_step_shape_ecme(y, trial, config.nu_bounds, guard, y_prev=y_prev,
+        nu = cm_step_shape_ecme(y, trial, NU_BOUNDS, guard, y_prev=y_prev,
                                 geometry=geometry)
         guarded = int(mix34.guarded.sum())
     trial = replace(trial, nu=float(nu))
@@ -623,7 +623,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     for t in range(1, config.max_iter + 1):
         prev_params, prev_geometry, prev_ll = params, geometry, ll_prev
         params, geometry, guarded, at_bound = _one_cycle(
-            y, y_prev, params, geometry, guard, nu_step, config, line_search_mu)
+            y, y_prev, params, geometry, guard, nu_step, line_search_mu)
         nu_hit_bound = nu_hit_bound or at_bound
         ll = observed_loglik(y, params, guard=guard, y_prev=y_prev,
                              geometry=geometry) + offset

@@ -79,29 +79,24 @@ def _read_rows(path, date_column: str | None, columns: list[str] | None):
 
 
 def load_returns(path, date_column: str | None = None,
-                 price_columns: list[str] | None = None,
-                 log_returns: bool = True) -> ReturnsPanel:
-    """Read a price CSV, drop rows with any missing price, compute returns.
+                 price_columns: list[str] | None = None) -> ReturnsPanel:
+    """Read a price CSV, drop rows with any missing price, compute log returns.
 
     Prices are aligned row-wise: a row is kept only when every selected
     series has a parseable finite price (strict inner join on the row),
     and returns are taken between consecutive kept rows.
     """
     columns, rows, dropped = _read_rows(path, date_column, price_columns)
-    if log_returns:
-        for line_no, _, prices in rows:
-            if any(p <= 0 for p in prices):
-                bad = columns[[p <= 0 for p in prices].index(True)]
-                raise ValueError(
-                    f"{path}: non-positive price in column {bad!r} at line "
-                    f"{line_no}; log returns are undefined")
+    for line_no, _, prices in rows:
+        if any(p <= 0 for p in prices):
+            bad = columns[[p <= 0 for p in prices].index(True)]
+            raise ValueError(
+                f"{path}: non-positive price in column {bad!r} at line "
+                f"{line_no}; log returns are undefined")
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 usable price rows, got {len(rows)}")
     prices = np.asarray([vals for _, _, vals in rows], dtype=float)
-    if log_returns:
-        values = np.log(prices[1:] / prices[:-1])
-    else:
-        values = prices[1:] / prices[:-1] - 1.0
+    values = np.log(prices[1:] / prices[:-1])
     return ReturnsPanel(dates=[date for _, date, _ in rows[1:]], values=values,
                         series_names=columns, dropped_rows=dropped)
 

@@ -199,34 +199,6 @@ def log_bessel_k(order: float, z):
     return float(out[0]) if scalar else out
 
 
-def bessel_k_ratio(order_a: float, order_b: float, z):
-    """K_{order_a}(z) / K_{order_b}(z), formed in log space.
-
-    Stays positive and finite even when the numerator and denominator each
-    under- or overflow on the linear scale.
-    """
-    if order_a == order_b:
-        scalar = np.isscalar(z)
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        _check_z(z)
-        out = np.ones_like(z)
-        return float(out[0]) if scalar else out
-    return np.exp(log_bessel_k(order_a, z) - np.asarray(log_bessel_k(order_b, z)))
-
-
-def bessel_k_order_derivative(order: float, z, degree: int = 1):
-    """Central-difference order derivative of K_v(z) at v = order.
-
-    With h = ``ORDER_DIFF_STEP``, degree 1 returns (K_{v+h} - K_{v-h}) / (2h),
-    degree 2 returns (K_{v+h} - 2 K_v + K_{v-h}) / h**2, both with the common
-    magnitude exp(ln K_v(z)) factored out of the difference.  The raw value is
-    returned, so it overflows exactly when K_v(z) itself does; use
-    :func:`bessel_k_order_derivative_over_k` for the ratio against K_v.
-    """
-    ratio = bessel_k_order_derivative_over_k(order, z, degree)
-    return ratio * np.exp(log_bessel_k(order, z))
-
-
 def bessel_k_order_derivative_over_k(order: float, z, degree: int = 1):
     """Order derivative of K_v(z) divided by K_v(z): K_v^(degree,0)(z) / K_v(z)."""
     if degree not in (1, 2):

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .distribution import MsvgParams, sample
+from .distribution import CenterGuard, MsvgParams, sample
 from .ecm import FitConfig, fit
 from .inference import flatten_params, param_labels
 from .specfun import thread_count as _worker_count
@@ -58,8 +58,11 @@ class StudySpec:
             raise ValueError("replicate count r must be >= 1")
         if self.n < 10 * self.true_params.d:
             raise ValueError(f"sample size n must be >= 10 d = {10 * self.true_params.d}")
-        if self.delta_levels is not None and any(x <= 0 for x in self.delta_levels):
-            raise ValueError("delta levels must be positive")
+        for x in self.delta_levels or ():
+            try:
+                CenterGuard(x)
+            except ValueError as exc:
+                raise ValueError(f"delta levels: {exc}") from None
 
 
 def replicate_seed(base_seed: int, index: int) -> int:
@@ -151,7 +154,6 @@ class StudyTable:
 def _spec_to_json(spec: StudySpec) -> dict:
     cfg = asdict(spec.fit_config)
     cfg.pop("init", None)
-    cfg["nu_bounds"] = list(spec.fit_config.nu_bounds)
     return {
         "true_params": spec.true_params.to_json(),
         "n": spec.n,

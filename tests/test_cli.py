@@ -276,14 +276,18 @@ class TestSimulate:
         ("gamma_levels", 0.5, "'gamma_levels' must be a list"),
         ("gamma_levels", [[0.1, 0.2, 0.3]], "'gamma_levels[0]' must be a list of 2 numbers"),
         ("base_seed", "x", "'base_seed' must be an integer"),
-        ("fit", {"nu_bounds": 5}, "'fit.nu_bounds' must be a list of 2 numbers"),
+        ("delta_levels", [1e999], "delta levels: delta threshold must be positive"),
+        ("fit", {"nu_bounds": [1e-4, 200.0]}, "unknown field 'fit.nu_bounds'"),
+        ("fit", {"delta_cap": -1.0}, "delta threshold must be positive"),
+        ("fit", {"scale_c": 1e999}, "scale_c must be positive and finite"),
         ("fit", {"tol": "x"}, "'fit.tol' must be a number"),
         ("fit", {"max_iter": 2.5}, "max_iter must be an integer"),
         ("algorithm", ["ecme"], "unknown field 'algorithm'"),
         ("fit", {"max_iters": 1}, "unknown field 'fit.max_iters'"),
     ], ids=["algorithms-empty", "algorithms-string", "algorithms-duplicate",
             "delta-number", "delta-string", "gamma-number", "gamma-length",
-            "seed-string", "nu_bounds-number", "tol-string", "max_iter-float",
+            "seed-string", "delta-inf", "nu_bounds-number", "delta_cap-negative",
+            "scale_c-inf", "tol-string", "max_iter-float",
             "unknown-key", "unknown-fit-key"])
     def test_schema_error_exits_two(self, tmp_path, capsys, field, value, message):
         spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, field: value})

@@ -618,6 +618,15 @@ class TestFit:
         assert abs(rep.params.mu[0]) < 0.15
         assert abs(rep.params.nu - 1.0) < 0.25
 
+    def test_univariate_hecm_search_beats_mcecm(self):
+        # At nu < 1 the d=1 density has a cusp at its location; the location
+        # search reaches a higher likelihood than MCECM's CM steps alone.
+        data = sample(MsvgParams(mu=[0.0], sigma=[[1.0]], gamma=[0.2], nu=0.6), 300, seed=9)
+        hecm = fit(data, FitConfig(algorithm="hecm"))
+        mcecm = fit(data, FitConfig(algorithm="mcecm"))
+        assert hecm.converged
+        assert hecm.final_loglik > mcecm.final_loglik + 1.0
+
     def test_error_paths(self):
         with pytest.raises(ValueError, match="finite"):
             fit(np.array([[1.0, np.nan]] * 40))
@@ -631,6 +640,15 @@ class TestFit:
     def test_config_rejects_bad_max_iter(self, max_iter):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             FitConfig(max_iter=max_iter)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": math.inf}, "tol must be positive and finite"),
+        ({"scale_c": math.inf}, "scale_c must be positive and finite"),
+        ({"delta_cap": -1.0}, "delta threshold must be positive"),
+    ], ids=["tol-inf", "scale_c-inf", "delta_cap-negative"])
+    def test_config_rejects_out_of_range_values(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(**kwargs)
 
     def test_init_must_match_ar_order(self):
         data = sample(BASE, 200, seed=31)

@@ -71,11 +71,6 @@ class TestLoadReturns:
         with pytest.raises(ValueError, match="no value columns"):
             load_values(path, date_column="date")
 
-    def test_simple_returns_option(self, tmp_path):
-        path = write_csv(tmp_path, "p\n100\n110\n99\n")
-        panel = load_returns(path, log_returns=False)
-        np.testing.assert_allclose(panel.values[:, 0], [0.1, -0.1])
-
 
 class TestLoadValues:
     def test_passthrough(self, tmp_path):
