@@ -11,8 +11,8 @@ The package is organised as:
   steps, and the MCECM / ECME / hybrid fitting loops;
 * :mod:`msvg.inference` -- observed information by Louis's identity,
   standard errors, AICc;
-* :mod:`msvg.study` -- simulation-study driver (replicate races, threshold
-  and skewness sweeps);
+* :mod:`msvg.study` -- simulation studies: the spec, its checks and JSON
+  form, and the driver (algorithm races, threshold and skewness sweeps);
 * :mod:`msvg.returns` -- CSV price ingestion and return computation;
 * :mod:`msvg.cli` -- the ``msvg`` command-line front end.
 """
@@ -61,7 +61,7 @@ from .specfun import (
     log_gamma,
     trigamma,
 )
-from .study import StudySpec, StudyTable, delta_sweep, replicate_seed, run_study, skew_sweep
+from .study import StudySpec, StudyTable, replicate_seed, run_study
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "cm_step_shape_mcecm",
     "complete_score",
     "conditional_lambda_moment",
-    "delta_sweep",
     "density_grid",
     "digamma",
     "fit",
@@ -105,7 +104,6 @@ __all__ = [
     "replicate_seed",
     "run_study",
     "sample",
-    "skew_sweep",
     "standard_errors",
     "summary_statistics",
     "trigamma",

@@ -5,8 +5,9 @@ records a run time, so repeated runs with identical inputs produce
 byte-identical files; ``fit`` reports its wall time only in the printed
 ``wrote ...`` line.  Parameter blocks are read and written by
 :meth:`MsvgParams.from_json` / :meth:`MsvgParams.to_json`: ``mu`` for the
-plain model, ``beta0`` and ``beta1`` for AR(1).  Exit codes: 0 success,
-1 numerical failure, 2 usage or schema error.
+plain model, ``beta0`` and ``beta1`` for AR(1); study specs by
+:func:`msvg.study.parse_study_spec`.  Exit codes: 0 success, 1 numerical
+failure, 2 usage or schema error (any ``ValueError``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,7 @@ from .inference import (
     standard_errors,
 )
 from .returns import ReturnsPanel, load_returns, load_values, summary_statistics
-from .study import StudySpec, delta_sweep, run_study, skew_sweep
-
-
-class SpecError(ValueError):
-    """Schema violation in a user-supplied file."""
+from .study import parse_study_spec, run_study
 
 
 def _fmt(x: float) -> str:
@@ -49,15 +46,6 @@ def _load_panel(args) -> ReturnsPanel:
                            value_columns=columns)
     return load_returns(args.data, date_column=args.date_column,
                         price_columns=columns)
-
-
-def _params_from_json(blob: dict) -> MsvgParams:
-    if not isinstance(blob, dict):
-        raise SpecError("parameter block must be a JSON object")
-    try:
-        return MsvgParams.from_json(blob)
-    except KeyError as exc:
-        raise SpecError(f"parameter block is missing field {exc}") from None
 
 
 def _corr_from_cov(cov: np.ndarray) -> np.ndarray:
@@ -211,13 +199,13 @@ def cmd_grid(args) -> int:
     if isinstance(blob, dict) and "params" in blob:
         blob = blob["params"]
     # an AR(1) block is gridded as its innovation plus the intercept
-    params = replace(_params_from_json(blob), beta1=None)
+    params = replace(MsvgParams.from_json(blob), beta1=None)
     if params.d != 2:
         raise ValueError(f"grid emission needs bivariate parameters, got d={params.d}")
     xlim = tuple(float(v) for v in args.xlim.split(","))
     ylim = tuple(float(v) for v in args.ylim.split(","))
     if len(xlim) != 2 or len(ylim) != 2:
-        raise SpecError("xlim/ylim must be 'low,high'")
+        raise ValueError("xlim/ylim must be 'low,high'")
     guard = CenterGuard(args.delta) if args.delta is not None else None
     values = density_grid(params, xlim, ylim, args.res, guard=guard)
     dx = (xlim[1] - xlim[0]) / args.res
@@ -235,121 +223,14 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_numbers(value, name: str, length: int | None = None) -> None:
-    if (not isinstance(value, list) or not all(_is_number(x) for x in value)
-            or (length is not None and len(value) != length)):
-        count = "" if length is None else f"{length} "
-        raise SpecError(f"field {name!r} must be a list of {count}numbers")
-
-
-# the keys of a study spec; the last three are those the study sidecar adds,
-# so that a sidecar reruns as a spec
-_SPEC_KEYS = ("kind", "true_params", "n", "r", "base_seed", "algorithms",
-              "delta_levels", "gamma_levels", "fit",
-              "cell_wall_times", "cell_failure_reasons", "elapsed_seconds")
-
-
-def _reject_unknown(blob: dict, known, prefix: str = "") -> None:
-    for key in blob:
-        if key not in known:
-            raise SpecError(f"unknown field {prefix + key!r}")
-
-
-def _fit_config(fit_blob, algorithm: str) -> FitConfig:
-    """The ``fit`` block of a study spec as a :class:`FitConfig`; keys it
-    leaves out take the config's defaults."""
-    if not isinstance(fit_blob, dict):
-        raise SpecError("field 'fit' must be an object")
-    names = [f.name for f in fields(FitConfig) if f.name != "init"]
-    _reject_unknown(fit_blob, names, "fit.")
-    kwargs = {name: fit_blob[name] for name in names if name in fit_blob}
-    kwargs.setdefault("algorithm", algorithm)
-    for key in ("tol", "scale_c", "delta_cap"):
-        if key in kwargs and not (_is_number(kwargs[key])
-                                  or key == "delta_cap" and kwargs[key] is None):
-            raise SpecError(f"field 'fit.{key}' must be a number")
-    try:
-        return FitConfig(**kwargs)
-    except ValueError as exc:
-        raise SpecError(f"field 'fit': {exc}") from None
-
-
-def parse_study_spec(blob: dict) -> tuple[str, StudySpec]:
-    """Validate and build a study spec from its JSON form."""
-    if not isinstance(blob, dict):
-        raise SpecError("study spec must be a JSON object")
-    _reject_unknown(blob, _SPEC_KEYS)
-    kind = blob.get("kind", "study")
-    if kind not in ("study", "delta_sweep", "skew_sweep"):
-        raise SpecError(f"field 'kind' must be study|delta_sweep|skew_sweep, got {kind!r}")
-    for name in ("true_params", "n", "r"):
-        if name not in blob:
-            raise SpecError(f"field {name!r} is required")
-    params = _params_from_json(blob["true_params"])
-    n = blob["n"]
-    r = blob["r"]
-    if not _is_int(n) or n < 10 * params.d:
-        raise SpecError(f"field 'n' must be an integer >= {10 * params.d}")
-    if not _is_int(r) or r < 1:
-        raise SpecError("field 'r' must be an integer >= 1")
-    algorithms = blob.get("algorithms", ["hecm"])
-    if not isinstance(algorithms, list) or not algorithms:
-        raise SpecError("field 'algorithms' must be a non-empty list")
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise SpecError(f"field 'algorithms' may only contain {ALGORITHMS}, got {a!r}")
-    if len(set(algorithms)) < len(algorithms):
-        raise SpecError("field 'algorithms' lists an algorithm twice")
-    base_seed = blob.get("base_seed", 0)
-    if not _is_int(base_seed) or base_seed < 0:
-        raise SpecError("field 'base_seed' must be an integer >= 0")
-    delta_levels = blob.get("delta_levels")
-    if delta_levels is not None:
-        _check_numbers(delta_levels, "delta_levels")
-    gamma_levels = blob.get("gamma_levels")
-    if gamma_levels is not None:
-        if not isinstance(gamma_levels, list):
-            raise SpecError("field 'gamma_levels' must be a list of skew vectors")
-        for i, g in enumerate(gamma_levels):
-            _check_numbers(g, f"gamma_levels[{i}]", params.d)
-    if kind == "delta_sweep" and not delta_levels:
-        raise SpecError("field 'delta_levels' is required for a delta_sweep")
-    if kind == "skew_sweep" and not gamma_levels:
-        raise SpecError("field 'gamma_levels' is required for a skew_sweep")
-    config = _fit_config(blob.get("fit", {}), algorithms[0])
-    try:
-        spec = StudySpec(
-            true_params=params, n=n, r=r,
-            base_seed=base_seed,
-            algorithms=tuple(algorithms),
-            delta_levels=delta_levels,
-            gamma_levels=[np.asarray(g, dtype=float) for g in gamma_levels]
-            if gamma_levels else None,
-            fit_config=config,
-        )
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    return kind, spec
-
-
 def cmd_simulate(args) -> int:
     with open(args.spec) as fh:
         try:
             blob = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SpecError(f"{args.spec}: invalid JSON ({exc})") from None
-    kind, spec = parse_study_spec(blob)
-    runner = {"study": run_study, "delta_sweep": delta_sweep,
-              "skew_sweep": skew_sweep}[kind]
-    table = runner(spec)
+            raise ValueError(f"{args.spec}: invalid JSON ({exc})") from None
+    _, spec = parse_study_spec(blob)
+    table = run_study(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "study.csv")

@@ -153,11 +153,17 @@ class MsvgParams:
 
     @classmethod
     def from_json(cls, blob: dict) -> "MsvgParams":
-        """Inverse of :meth:`to_json`; a missing field raises KeyError."""
-        if "beta0" in blob:
-            return cls(mu=blob["beta0"], beta1=blob["beta1"], sigma=blob["sigma"],
-                       gamma=blob["gamma"], nu=blob["nu"])
-        return cls(mu=blob["mu"], sigma=blob["sigma"], gamma=blob["gamma"], nu=blob["nu"])
+        """Inverse of :meth:`to_json`; a block that is not a JSON object or
+        lacks a field raises ValueError."""
+        if not isinstance(blob, dict):
+            raise ValueError("parameter block must be a JSON object")
+        try:
+            if "beta0" in blob:
+                return cls(mu=blob["beta0"], beta1=blob["beta1"], sigma=blob["sigma"],
+                           gamma=blob["gamma"], nu=blob["nu"])
+            return cls(mu=blob["mu"], sigma=blob["sigma"], gamma=blob["gamma"], nu=blob["nu"])
+        except KeyError as exc:
+            raise ValueError(f"parameter block is missing field {exc}") from None
 
 
 @dataclass(frozen=True)

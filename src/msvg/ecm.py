@@ -75,6 +75,10 @@ MIN_OBS_PER_DIM = 10
 NU_BOUNDS = (1e-4, 200.0)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class DegenerateMixingError(RuntimeError):
     """Raised when the mixing weights carry no spread (the location/skew
     system of the conditional maximisation is 0/0)."""
@@ -126,15 +130,14 @@ class FitConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
-                or self.max_iter < 1):
+        if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not 0 < self.scale_c < math.inf:
             raise ValueError(f"scale_c must be positive and finite, got {self.scale_c!r}")
         if self.delta_cap is not None:
             CenterGuard(self.delta_cap)
-        if self.ar_order not in (0, 1):
-            raise ValueError("ar_order must be 0 or 1")
+        if not _is_int(self.ar_order) or self.ar_order not in (0, 1):
+            raise ValueError(f"ar_order must be the integer 0 or 1, got {self.ar_order!r}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Simulation-study driver: replicate generation, algorithm races, and
-threshold/skewness sweeps with aggregate tables.
+"""Simulation studies: the spec (:class:`StudySpec`, which checks its values),
+its JSON reader :func:`parse_study_spec` and writer (the sidecar), and the
+driver :func:`run_study`, which also runs the threshold and skewness sweeps.
 
 Every cell of a study is a (algorithm, delta threshold, skew level) triple.
 Replicate datasets depend only on the base seed, the replicate index and
@@ -30,19 +31,22 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .distribution import CenterGuard, MsvgParams, sample
-from .ecm import FitConfig, fit
+from .ecm import ALGORITHMS, MIN_OBS_PER_DIM, FitConfig, _is_int, fit
 from .inference import flatten_params, param_labels
 from .specfun import thread_count as _worker_count
 
 
 @dataclass
 class StudySpec:
-    """One simulation study: true model, sizes, seeds, and the cells to run."""
+    """One simulation study: true model, sizes, seeds, and the cells to run.
+
+    The one check of a spec's values; keeps ``algorithms`` as a tuple and
+    each skew level as a float array."""
 
     true_params: MsvgParams
     n: int
@@ -54,15 +58,36 @@ class StudySpec:
     fit_config: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("replicate count r must be >= 1")
-        if self.n < 10 * self.true_params.d:
-            raise ValueError(f"sample size n must be >= 10 d = {10 * self.true_params.d}")
+        params, ar_order = self.true_params, self.fit_config.ar_order
+        if not _is_int(self.r) or self.r < 1:
+            raise ValueError(f"replicate count r must be an integer >= 1, got {self.r!r}")
+        if not _is_int(self.base_seed) or self.base_seed < 0:
+            raise ValueError(f"'base_seed' must be an integer >= 0, got {self.base_seed!r}")
+        if ar_order != int(params.ar):
+            raise ValueError(f"fit ar_order is {ar_order}, but the true parameters "
+                             f"{'carry' if params.ar else 'lack'} the AR(1) lag matrix")
+        # fit needs more than MIN_OBS_PER_DIM rows per dimension after the AR(1) one
+        n_min = MIN_OBS_PER_DIM * params.d + 1 + ar_order
+        if not _is_int(self.n) or self.n < n_min:
+            raise ValueError(f"sample size n must be an integer >= {n_min}, got {self.n!r}")
+        if (not isinstance(self.algorithms, (list, tuple)) or not self.algorithms
+                or not all(a in ALGORITHMS for a in self.algorithms)):
+            raise ValueError(f"algorithms must be a non-empty list of names from "
+                             f"{ALGORITHMS}, got {self.algorithms!r}")
+        self.algorithms = tuple(self.algorithms)
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError("algorithms lists an algorithm twice")
         for x in self.delta_levels or ():
             try:
                 CenterGuard(x)
             except ValueError as exc:
                 raise ValueError(f"delta levels: {exc}") from None
+        if self.gamma_levels:
+            self.gamma_levels = [np.asarray(g, dtype=float) for g in self.gamma_levels]
+        for i, g in enumerate(self.gamma_levels or ()):
+            if g.shape != (params.d,) or not np.all(np.isfinite(g)):
+                raise ValueError(f"'gamma_levels[{i}]' must be a list of {params.d} numbers, "
+                                 "all finite")
 
 
 def replicate_seed(base_seed: int, index: int) -> int:
@@ -161,10 +186,89 @@ def _spec_to_json(spec: StudySpec) -> dict:
         "base_seed": spec.base_seed,
         "algorithms": list(spec.algorithms),
         "delta_levels": spec.delta_levels,
-        "gamma_levels": [np.asarray(g).tolist() for g in spec.gamma_levels]
+        "gamma_levels": [g.tolist() for g in spec.gamma_levels]
         if spec.gamma_levels else None,
         "fit": cfg,
     }
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_numbers(value, name: str) -> None:
+    if not isinstance(value, list) or not all(_is_number(x) for x in value):
+        raise ValueError(f"field {name!r} must be a list of numbers")
+
+
+# the keys of a study spec; the last three are those the study sidecar adds,
+# so that a sidecar reruns as a spec
+_SPEC_KEYS = ("kind", "true_params", "n", "r", "base_seed", "algorithms",
+              "delta_levels", "gamma_levels", "fit",
+              "cell_wall_times", "cell_failure_reasons", "elapsed_seconds")
+# each kind of study and the levels it sweeps
+_KINDS = {"study": None, "delta_sweep": "delta_levels", "skew_sweep": "gamma_levels"}
+
+
+def _reject_unknown(blob: dict, known, prefix: str = "") -> None:
+    for key in blob:
+        if key not in known:
+            raise ValueError(f"unknown field {prefix + key!r}")
+
+
+def parse_study_spec(blob: dict) -> tuple[str, StudySpec]:
+    """Build a study spec and its kind from the JSON form.
+
+    The inverse of the spec part of the sidecar, which therefore reruns as a
+    spec.  This reader checks the JSON shape only (known keys, required
+    keys, value types, the levels a ``kind`` sweeps); :class:`StudySpec`
+    checks the values.  Every kind runs through :func:`run_study`; a
+    ``delta_sweep`` whose true nu exceeds d/2 warns, since its density is
+    bounded and the threshold then hardly matters.
+    """
+    if not isinstance(blob, dict):
+        raise ValueError("study spec must be a JSON object")
+    _reject_unknown(blob, _SPEC_KEYS)
+    kind = blob.get("kind", "study")
+    if kind not in _KINDS:
+        raise ValueError(f"field 'kind' must be study|delta_sweep|skew_sweep, got {kind!r}")
+    for name in ("true_params", "n", "r"):
+        if name not in blob:
+            raise ValueError(f"field {name!r} is required")
+    if _KINDS[kind] and not blob.get(_KINDS[kind]):
+        raise ValueError(f"field {_KINDS[kind]!r} is required for a {kind}")
+    if blob.get("delta_levels") is not None:
+        _check_numbers(blob["delta_levels"], "delta_levels")
+    gamma_levels = blob.get("gamma_levels")
+    if gamma_levels is not None:
+        if not isinstance(gamma_levels, list):
+            raise ValueError("field 'gamma_levels' must be a list of skew vectors")
+        for i, g in enumerate(gamma_levels):
+            _check_numbers(g, f"gamma_levels[{i}]")
+    # the fit block's keys are FitConfig's; those it leaves out take its defaults
+    fit_blob = blob.get("fit", {})
+    if not isinstance(fit_blob, dict):
+        raise ValueError("field 'fit' must be an object")
+    _reject_unknown(fit_blob, [f.name for f in fields(FitConfig) if f.name != "init"], "fit.")
+    for key in ("tol", "scale_c", "delta_cap"):
+        if key in fit_blob and not (_is_number(fit_blob[key])
+                                    or key == "delta_cap" and fit_blob[key] is None):
+            raise ValueError(f"field 'fit.{key}' must be a number")
+    config = FitConfig(**fit_blob)
+    spec = StudySpec(
+        true_params=MsvgParams.from_json(blob["true_params"]), fit_config=config,
+        **{key: blob[key] for key in ("n", "r", "base_seed", "algorithms",
+                                      "delta_levels", "gamma_levels") if key in blob})
+    if "algorithm" not in fit_blob:
+        # run_study sets each cell's algorithm; the config records the first
+        config.algorithm = spec.algorithms[0]
+    params = spec.true_params
+    if kind == "delta_sweep" and params.nu > params.d / 2:
+        warnings.warn(
+            "delta sweep is aimed at the unbounded-density regime "
+            "(true nu <= d/2); results will be insensitive to the threshold",
+            RuntimeWarning)
+    return kind, spec
 
 
 def _aggregate_cell(results, labels) -> dict[str, float]:
@@ -259,26 +363,3 @@ def run_study(spec: StudySpec) -> StudyTable:
     table.spec_json["cell_failure_reasons"] = failures
     table.spec_json["elapsed_seconds"] = round(time.perf_counter() - t0, 3)
     return table
-
-
-def delta_sweep(spec: StudySpec) -> StudyTable:
-    """One cell per delta threshold, refitting the same datasets at each level."""
-    if not spec.delta_levels:
-        raise ValueError("delta_sweep needs delta_levels in the spec")
-    if spec.true_params.nu > spec.true_params.d / 2:
-        warnings.warn(
-            "delta sweep is aimed at the unbounded-density regime "
-            "(true nu <= d/2); results will be insensitive to the threshold",
-            RuntimeWarning)
-    return run_study(spec)
-
-
-def skew_sweep(spec: StudySpec) -> StudyTable:
-    """One cell per skewness level, reporting switch/convergence iterations."""
-    if not spec.gamma_levels:
-        raise ValueError("skew_sweep needs gamma_levels in the spec")
-    for g in spec.gamma_levels:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (spec.true_params.d,) or not np.all(np.isfinite(g)):
-            raise ValueError(f"invalid skew level {g}")
-    return run_study(spec)

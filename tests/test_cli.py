@@ -284,11 +284,18 @@ class TestSimulate:
         ("fit", {"max_iter": 2.5}, "max_iter must be an integer"),
         ("algorithm", ["ecme"], "unknown field 'algorithm'"),
         ("fit", {"max_iters": 1}, "unknown field 'fit.max_iters'"),
+        ("n", 20, "n must be an integer >= 21"),
+        ("fit", {"ar_order": 1}, "ar_order is 1, but the true parameters lack"),
+        ("true_params", {**{k: v for k, v in TINY_SPEC["true_params"].items() if k != "mu"},
+                         "beta0": [0.0, 0.0], "beta1": [[0.3, 0.0], [0.0, 0.3]]},
+         "ar_order is 0, but the true parameters carry"),
+        ("fit", {"ar_order": True}, "ar_order must be the integer 0 or 1"),
     ], ids=["algorithms-empty", "algorithms-string", "algorithms-duplicate",
             "delta-number", "delta-string", "gamma-number", "gamma-length",
             "seed-string", "delta-inf", "nu_bounds-number", "delta_cap-negative",
             "scale_c-inf", "tol-string", "max_iter-float",
-            "unknown-key", "unknown-fit-key"])
+            "unknown-key", "unknown-fit-key", "n-10d", "ar_order-plain-params",
+            "ar-params-no-ar_order", "ar_order-bool"])
     def test_schema_error_exits_two(self, tmp_path, capsys, field, value, message):
         spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, field: value})
         assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2

@@ -645,7 +645,10 @@ class TestFit:
         ({"tol": math.inf}, "tol must be positive and finite"),
         ({"scale_c": math.inf}, "scale_c must be positive and finite"),
         ({"delta_cap": -1.0}, "delta threshold must be positive"),
-    ], ids=["tol-inf", "scale_c-inf", "delta_cap-negative"])
+        ({"ar_order": True}, "ar_order must be the integer 0 or 1"),
+        ({"ar_order": 1.0}, "ar_order must be the integer 0 or 1"),
+    ], ids=["tol-inf", "scale_c-inf", "delta_cap-negative", "ar_order-bool",
+            "ar_order-float"])
     def test_config_rejects_out_of_range_values(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             FitConfig(**kwargs)

@@ -9,10 +9,11 @@ import pytest
 from msvg import ecm, study
 from msvg.distribution import MsvgParams, sample
 from msvg.ecm import FitConfig
-from msvg.study import StudySpec, delta_sweep, replicate_seed, run_study, skew_sweep
+from msvg.study import StudySpec, _spec_to_json, parse_study_spec, replicate_seed, run_study
 
 TRUE = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
                   gamma=[0.2, 0.3], nu=2.5)
+TRUE_AR = dataclasses.replace(TRUE, beta1=[[0.3, 0.0], [0.1, 0.2]])
 
 
 def small_spec(**kw):
@@ -21,6 +22,20 @@ def small_spec(**kw):
                 fit_config=FitConfig(algorithm="mcecm", tol=1e-7))
     base.update(kw)
     return StudySpec(**base)
+
+
+def spec_blob(spec, **kw):
+    """The JSON form of ``spec`` with the keys ``kw`` added or replaced."""
+    return {**_spec_to_json(spec), **kw}
+
+
+def assert_same_spec(a, b):
+    assert a.true_params.to_json() == b.true_params.to_json()
+    assert ((a.n, a.r, a.base_seed, a.algorithms, a.delta_levels, a.fit_config)
+            == (b.n, b.r, b.base_seed, b.algorithms, b.delta_levels, b.fit_config))
+    levels = [None if s.gamma_levels is None else [g.tolist() for g in s.gamma_levels]
+              for s in (a, b)]
+    assert levels[0] == levels[1]
 
 
 def assert_no_nan(table):
@@ -46,6 +61,60 @@ class TestSpecValidation:
             small_spec(n=5)
         with pytest.raises(ValueError, match="delta levels"):
             small_spec(delta_levels=[1e-4, -1.0])
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"algorithms": ()}, "non-empty list"),
+        ({"algorithms": ("mcecm", "em")}, "non-empty list"),
+        ({"algorithms": ("hecm", "mcecm", "hecm")}, "twice"),
+        ({"gamma_levels": [np.array([0.2, 0.3]), np.array([1.0, 2.0, 3.0])]},
+         r"'gamma_levels\[1\]' must be a list of 2 numbers"),
+        ({"gamma_levels": [[0.2, math.inf]]}, "all finite"),
+        ({"base_seed": -1}, "'base_seed' must be an integer >= 0"),
+        ({"r": 2.0}, "r must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"fit_config": FitConfig(ar_order=1)}, "ar_order is 1, but the true parameters lack"),
+        ({"true_params": TRUE_AR}, "ar_order is 0, but the true parameters carry"),
+    ], ids=["algorithms-empty", "algorithms-unknown", "algorithms-duplicate",
+            "gamma-length", "gamma-inf", "seed-negative", "r-float", "n-bool",
+            "ar_order-plain-params", "ar-params-no-ar_order"])
+    def test_rejected_values(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**kw)
+
+    @pytest.mark.parametrize("true_params, ar_order, n_min",
+                             [(TRUE, 0, 21), (TRUE_AR, 1, 22)], ids=["plain", "ar1"])
+    def test_sample_size_bound_is_what_fit_needs(self, true_params, ar_order, n_min):
+        # fit needs more than MIN_OBS_PER_DIM modelled rows per dimension,
+        # and an AR(1) sample spends its first row on conditioning
+        assert n_min == ecm.MIN_OBS_PER_DIM * true_params.d + 1 + ar_order
+        config = FitConfig(algorithm="mcecm", ar_order=ar_order, max_iter=2)
+        with pytest.raises(ValueError, match=f"n must be an integer >= {n_min}"):
+            small_spec(true_params=true_params, n=n_min - 1, fit_config=config)
+        spec = small_spec(true_params=true_params, n=n_min, r=1, fit_config=config)
+        data = sample(true_params, spec.n, seed=replicate_seed(spec.base_seed, 0))
+        ecm.fit(data, config)  # enough rows: no "need more than" error
+        with pytest.raises(ValueError, match="need more than"):
+            ecm.fit(data[1:], config)
+
+
+class TestSpecJson:
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(true_params=TRUE_AR, n=60,
+                   fit_config=FitConfig(algorithm="ecme", ar_order=1, delta_cap=1e-5)),
+        small_spec(algorithms=("hecm", "mcecm"), delta_levels=[1e-7, 1e-4],
+                   gamma_levels=[np.array([0.2, 0.3]), np.array([0.5, 2.0])]),
+    ], ids=["plain", "ar1", "levels"])
+    def test_roundtrip(self, spec):
+        kind, back = parse_study_spec(_spec_to_json(spec))
+        assert kind == "study"
+        assert_same_spec(back, spec)
+
+    def test_fit_algorithm_defaults_to_the_first_listed(self):
+        blob = spec_blob(small_spec(algorithms=("ecme", "hecm")))
+        del blob["fit"]["algorithm"]
+        _, spec = parse_study_spec(blob)
+        assert spec.fit_config.algorithm == "ecme"
 
 
 class TestRunStudy:
@@ -222,31 +291,25 @@ class TestMcecmFromHecm:
 
 
 class TestSweeps:
-    def test_delta_sweep_consistency_with_run_study(self):
-        spec = small_spec(true_params=MsvgParams(mu=[0.0, 0.0],
-                                                 sigma=[[1.0, 0.4], [0.4, 1.0]],
-                                                 gamma=[0.2, 0.3], nu=0.6),
-                          delta_levels=[1e-4])
-        sweep = delta_sweep(spec)
-        direct = run_study(spec)
-        assert sweep.rows == direct.rows
-
     def test_delta_sweep_warns_when_density_bounded(self):
-        spec = small_spec(delta_levels=[1e-4])  # true nu = 2.5 > d/2
-        with pytest.warns(RuntimeWarning, match="unbounded"):
-            table = delta_sweep(spec)
-        assert_no_nan(table)
+        blob = spec_blob(small_spec(delta_levels=[1e-4]), kind="delta_sweep")
+        with pytest.warns(RuntimeWarning, match="unbounded"):  # true nu = 2.5 > d/2
+            kind, spec = parse_study_spec(blob)
+        assert kind == "delta_sweep"
+        assert_no_nan(run_study(spec))
 
     def test_delta_sweep_requires_levels(self):
         with pytest.raises(ValueError, match="delta_levels"):
-            delta_sweep(small_spec())
+            parse_study_spec(spec_blob(small_spec(), kind="delta_sweep"))
 
     def test_skew_sweep_cells(self):
         spec = small_spec(gamma_levels=[np.array([0.2, 0.2]),
                                         np.array([0.5, 2.0])],
                           algorithms=("hecm",),
                           fit_config=FitConfig(algorithm="hecm", tol=1e-7))
-        table = skew_sweep(spec)
+        kind, spec = parse_study_spec(spec_blob(spec, kind="skew_sweep"))
+        assert kind == "skew_sweep"
+        table = run_study(spec)
         g1 = table.cell(gamma="0.2|0.2")
         g2 = table.cell(gamma="0.5|2.0")
         assert g1 and g2
@@ -258,7 +321,8 @@ class TestSweeps:
         assert_no_nan(table)
 
     def test_skew_sweep_validates_levels(self):
-        with pytest.raises(ValueError, match="invalid skew level"):
-            skew_sweep(small_spec(gamma_levels=[np.array([1.0, 2.0, 3.0])]))
+        blob = spec_blob(small_spec(), kind="skew_sweep", gamma_levels=[[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match=r"'gamma_levels\[0\]' must be a list of 2"):
+            parse_study_spec(blob)
         with pytest.raises(ValueError, match="gamma_levels"):
-            skew_sweep(small_spec())
+            parse_study_spec(spec_blob(small_spec(), kind="skew_sweep"))
