@@ -29,7 +29,6 @@ from .distribution import (
     sample,
 )
 from .ecm import (
-    DegenerateMixingError,
     FitConfig,
     FitReport,
     SuffStats,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CenterGuard",
-    "DegenerateMixingError",
     "FitConfig",
     "FitReport",
     "InfoMatrix",

@@ -7,7 +7,8 @@ byte-identical files; ``fit`` reports its wall time only in the printed
 :meth:`MsvgParams.from_json` / :meth:`MsvgParams.to_json`: ``mu`` for the
 plain model, ``beta0`` and ``beta1`` for AR(1); study specs by
 :func:`msvg.study.parse_study_spec`.  Exit codes: 0 success, 1 numerical
-failure, 2 usage or schema error (any ``ValueError``).
+failure, 2 usage or schema error (any ``ValueError``) or a file that
+cannot be read or written (any ``OSError``).
 """
 
 from __future__ import annotations
@@ -67,17 +68,13 @@ def _finite_or_none(x: float) -> float | None:
 def information_summary(info) -> dict | None:
     """Extreme eigenvalues of the observed information, for the fit report.
 
-    ``None`` when the information could not be formed.  Non-finite numbers
-    are reported as ``None``, and so is the condition number of a matrix
-    that is not positive definite.
+    ``None`` when the information could not be formed.  A condition number
+    that overflows is reported as ``None``, and so is the condition number
+    of a matrix that is not positive definite.
     """
     if info is None:
         return None
-    if not np.all(np.isfinite(info.matrix)):
-        return {"min_eigenvalue": None, "max_eigenvalue": None,
-                "condition_number": None, "positive_definite": False}
-    eigs = np.linalg.eigvalsh(info.matrix)
-    lo, hi = float(eigs[0]), float(eigs[-1])
+    lo, hi = float(info.eigenvalues[0]), float(info.eigenvalues[-1])
     pd = lo > 0.0
     return {
         "min_eigenvalue": _finite_or_none(lo),
@@ -200,8 +197,6 @@ def cmd_grid(args) -> int:
         blob = blob["params"]
     # an AR(1) block is gridded as its innovation plus the intercept
     params = replace(MsvgParams.from_json(blob), beta1=None)
-    if params.d != 2:
-        raise ValueError(f"grid emission needs bivariate parameters, got d={params.d}")
     xlim = tuple(float(v) for v in args.xlim.split(","))
     ylim = tuple(float(v) for v in args.ylim.split(","))
     if len(xlim) != 2 or len(ylim) != 2:
@@ -313,7 +308,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

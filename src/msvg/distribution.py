@@ -24,7 +24,9 @@ factorises Sigma once per parameter point and data block and keeps delta,
 (y - mu)' Sigma^-1 gamma, ln|Sigma| and Q; :meth:`Geometry.capped` adds psi,
 eta and the guard mask for a given nu.  The density, the E-step, the
 information moments of :mod:`msvg.inference`, ECME's shape search and the
-fit's final guarded count all read them from there.
+fit's final guarded count all read them from there.  The order derivative
+of K behind E(log lam) is the one central difference of :mod:`msvg.specfun`,
+formed from the ln K_eta that E(lam) and E(1/lam) already need.
 
 A geometry lives for one parameter point (location, Sigma, gamma; nu is not
 part of it) and one data block.  The consumers that take it as the
@@ -56,7 +58,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 from scipy.special import gammaln
 
-from .specfun import ORDER_DIFF_STEP, log_bessel_k
+from .specfun import _order_diff_over_k, log_bessel_k
 
 # exp() clamp keeping posterior moments positive and finite in extreme tails
 _LOG_CLIP = 700.0
@@ -404,13 +406,8 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
     e_lam, e_inv, lk_a = _gig_first_moments(eta, z, log_dp)
-    if need_log:
-        h = ORDER_DIFF_STEP
-        d1 = (np.exp(np.asarray(log_bessel_k(eta + h, z)) - lk_a)
-              - np.exp(np.asarray(log_bessel_k(eta - h, z)) - lk_a)) / (2.0 * h)
-        e_log = log_dp + d1
-    else:
-        e_log = None
+    # K_{-v} = K_v, so ln K_|eta| is ln K_eta
+    e_log = log_dp + _order_diff_over_k(eta, z, lk_a) if need_log else None
 
     return MixingExpectations(e_lambda=e_lam, e_inv_lambda=e_inv,
                               e_log_lambda=e_log, guarded=guarded, tag=geometry.tag)

@@ -79,11 +79,6 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-class DegenerateMixingError(RuntimeError):
-    """Raised when the mixing weights carry no spread (the location/skew
-    system of the conditional maximisation is 0/0)."""
-
-
 def _osum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """Order-canonical reduction over observations.
 
@@ -219,12 +214,13 @@ def cm_step_location_skew(stats: SuffStats, n: int):
     """Closed-form joint update of location and skewness.
 
     Solves the weighted normal equations of the conditional normal
-    log-likelihood; degenerates to 0/0 when all mixing weights coincide.
+    log-likelihood.  When all mixing weights coincide the system is 0/0, and
+    its limit is returned: the weighted mean and zero skew.
     """
     den = stats.s_inv_lambda * stats.s_lambda - float(n) ** 2
     if den <= 1e-12 * float(n) ** 2:
-        raise DegenerateMixingError(
-            f"mixing-weight spread too small (denominator {den:.3e})")
+        mu = stats.s_y_over_lambda / stats.s_inv_lambda
+        return mu, np.zeros_like(mu)
     mu = (stats.s_y_over_lambda * stats.s_lambda - n * stats.s_y) / den
     gamma = (stats.s_y - n * mu) / stats.s_lambda
     return mu, gamma
@@ -515,13 +511,7 @@ def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str,
             mu = params.mu
             gamma = (stats1.s_y - n * mu) / stats1.s_lambda
         else:
-            try:
-                mu, gamma = cm_step_location_skew(stats1, n)
-            except DegenerateMixingError:
-                # equal weights: the system is 0/0 and its limit is the
-                # weighted mean with no skew update
-                mu = stats1.s_y_over_lambda / stats1.s_inv_lambda
-                gamma = np.zeros_like(mu)
+            mu, gamma = cm_step_location_skew(stats1, n)
         trial = replace(params, mu=mu, gamma=gamma)
 
     # extra E-step at the new location/skew, then the scale update

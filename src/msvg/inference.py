@@ -22,13 +22,16 @@ beta0 for AR(1) parameters, where it is the intercept), vec(beta1)
 column-major (AR only), vech(Sigma) column-major lower triangle, gamma, and
 nu; off-diagonal scale entries carry the usual factor-two adjustment for
 the symmetric parameterisation.
+
+One rule makes the information exactly symmetric: :func:`observed_info`
+mirrors its upper triangle down, the only triangle the Hessian fills.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,10 +50,20 @@ class SingularInformationError(RuntimeError):
 
 @dataclass
 class InfoMatrix:
-    """Observed information over the free-parameter vector."""
+    """Observed information over the free-parameter vector.
+
+    A non-finite matrix raises ``ValueError``.  The ascending
+    ``eigenvalues`` are computed once, here; every diagnostic reads them.
+    """
 
     matrix: np.ndarray
     index_map: list[str]
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("information matrix is not finite")
+        self.eigenvalues = np.linalg.eigvalsh(self.matrix)
 
 
 def vech_indices(d: int) -> list[tuple[int, int]]:
@@ -224,7 +237,10 @@ def complete_score(params, data, lambda_block, y_prev=None) -> np.ndarray:
 
 
 def _expected_hessian(params, design, m1, m_1):
-    """Conditional expectation of the complete-data Hessian, summed over rows."""
+    """Conditional expectation of the complete-data Hessian, summed over rows.
+
+    Only the upper triangle is filled; :func:`observed_info` mirrors it.
+    """
     d = params.d
     ar = params.ar
     x, resid, prec, e_stack, w_stack = design
@@ -237,7 +253,6 @@ def _expected_hessian(params, design, m1, m_1):
     i_loc = slice(0, d)
     i_b1 = slice(d, d + d * d) if ar else None
     off = d + (d * d if ar else 0)
-    i_sig = slice(off, off + ps)
     i_gam = slice(off + ps, off + ps + d)
     i_nu = off + ps + d
 
@@ -262,7 +277,7 @@ def _expected_hessian(params, design, m1, m_1):
     for m in range(ps):
         w = w_stack[m]
         h[i_loc, off + m] = -w @ (ve - n * gamma)
-        h[i_gam, off + m] = -w @ (se - sm1 * gamma)
+        h[off + m, i_gam] = -w @ (se - sm1 * gamma)
         if ar:
             h[i_b1, off + m] = -(w @ mx).flatten(order="F")
 
@@ -278,18 +293,8 @@ def _expected_hessian(params, design, m1, m_1):
             first = 0.5 * n * np.trace(pa @ pb)
             second = -0.5 * (np.trace(pa @ pb @ pt) + np.trace(pb @ pa @ pt))
             h[off + a_idx, off + b_idx] = first + second
-            h[off + b_idx, off + a_idx] = first + second
 
     h[i_nu, i_nu] = n * (1.0 / params.nu - float(trigamma(params.nu)))
-
-    # mirror the blocks filled above the diagonal
-    h[i_gam, i_loc] = h[i_loc, i_gam].T
-    h[i_sig, i_loc] = h[i_loc, i_sig].T
-    h[i_sig, i_gam] = h[i_gam, i_sig].T
-    if ar:
-        h[i_b1, i_loc] = h[i_loc, i_b1].T
-        h[i_gam, i_b1] = h[i_b1, i_gam].T
-        h[i_sig, i_b1] = h[i_b1, i_sig].T
     return h
 
 
@@ -343,21 +348,19 @@ def observed_info(params, data, y_prev=None,
     h_bar = _expected_hessian(params, design, m1, m_1)
     info = -h_bar - score_cov
     # exact symmetry: keep the upper triangle, mirror it down
-    info = np.triu(info) + np.triu(info, 1).T
-
-    eigs = np.linalg.eigvalsh(info)
-    if eigs[0] <= 0:
+    info = InfoMatrix(matrix=np.triu(info) + np.triu(info, 1).T,
+                      index_map=param_labels(params))
+    if info.eigenvalues[0] <= 0:
         warnings.warn(
             f"observed information is not positive definite "
-            f"(smallest eigenvalue {eigs[0]:.3e}); the fit may not have converged",
-            RuntimeWarning)
-    return InfoMatrix(matrix=info, index_map=param_labels(params))
+            f"(smallest eigenvalue {info.eigenvalues[0]:.3e}); the fit may not "
+            f"have converged", RuntimeWarning)
+    return info
 
 
 def standard_errors(info: InfoMatrix) -> dict[str, float]:
     """SE(theta_i) = sqrt of the i-th diagonal entry of the inverse information."""
-    m = info.matrix
-    eigs = np.linalg.eigvalsh(m)
+    eigs = info.eigenvalues
     if eigs[0] <= 1e-12 * max(eigs[-1], 0.0):
         raise SingularInformationError(
             f"information matrix is singular to working precision; "
@@ -367,7 +370,7 @@ def standard_errors(info: InfoMatrix) -> dict[str, float]:
         warnings.warn(
             f"information matrix is ill-conditioned (condition number {cond:.3e}); "
             f"standard errors may be unreliable", RuntimeWarning)
-    cov = np.linalg.inv(m)
+    cov = np.linalg.inv(info.matrix)
     ses = np.sqrt(np.diag(cov))
     return dict(zip(info.index_map, ses.tolist()))
 

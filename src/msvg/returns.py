@@ -27,16 +27,13 @@ class ReturnsPanel:
 
 
 def _parse_price(cell: str) -> float | None:
-    cell = cell.strip()
-    if not cell or cell.upper() in ("NA", "NAN", "NULL"):
-        return None
+    # float() strips whitespace and rejects empty and text cells; the
+    # finiteness test rejects nan and inf in any spelling
     try:
         value = float(cell)
     except ValueError:
         return None
-    if not np.isfinite(value):
-        return None
-    return value
+    return value if np.isfinite(value) else None
 
 
 def _read_rows(path, date_column: str | None, columns: list[str] | None):

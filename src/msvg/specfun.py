@@ -24,6 +24,11 @@ Smaller blocks stay on the calling thread.  The pool is created on first
 use; a forked child drops the pool it inherited (its threads do not exist
 there) and creates its own.  The worker processes of a study run the kernel
 on one thread.
+
+The order derivatives of K_v are central differences in v of step
+``ORDER_DIFF_STEP``, formed in one place, ``_order_diff_over_k``, from the
+ln K_v its caller already holds: :func:`bessel_k_order_derivative_over_k`
+(the information's moments) and the E-step's E(log lam) both call it.
 """
 
 from __future__ import annotations
@@ -199,18 +204,22 @@ def log_bessel_k(order: float, z):
     return float(out[0]) if scalar else out
 
 
+def _order_diff_over_k(order: float, z, lk, degree: int = 1) -> np.ndarray:
+    """K_v^(degree,0)(z) / K_v(z) by central differences of step
+    ``ORDER_DIFF_STEP``, given ``lk`` = ln K_order(z) from the caller."""
+    h = ORDER_DIFF_STEP
+    up = np.exp(np.asarray(log_bessel_k(order + h, z)) - lk)
+    dn = np.exp(np.asarray(log_bessel_k(order - h, z)) - lk)
+    if degree == 1:
+        return (up - dn) / (2.0 * h)
+    return (up + dn - 2.0) / (h * h)
+
+
 def bessel_k_order_derivative_over_k(order: float, z, degree: int = 1):
     """Order derivative of K_v(z) divided by K_v(z): K_v^(degree,0)(z) / K_v(z)."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    h = ORDER_DIFF_STEP
-    lk = np.asarray(log_bessel_k(order, z))
-    up = np.exp(np.asarray(log_bessel_k(order + h, z)) - lk)
-    dn = np.exp(np.asarray(log_bessel_k(order - h, z)) - lk)
-    if degree == 1:
-        out = (up - dn) / (2.0 * h)
-    else:
-        out = (up + dn - 2.0) / (h * h)
+    out = _order_diff_over_k(order, z, np.asarray(log_bessel_k(order, z)), degree)
     return float(out) if np.isscalar(z) else out
 
 

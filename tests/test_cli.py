@@ -10,6 +10,7 @@ import pytest
 
 import msvg.cli
 from msvg.cli import information_summary, main
+from msvg.distribution import MsvgParams, sample
 from msvg.ecm import FitConfig
 from msvg.inference import InfoMatrix
 
@@ -147,10 +148,36 @@ class TestFit:
                                      "condition_number": 4.0, "positive_definite": True}
         assert summary(-1.0, 8.0)["condition_number"] is None
         assert summary(0.0, 8.0)["positive_definite"] is False
-        assert summary(math.nan, 8.0) == {
-            "min_eigenvalue": None, "max_eigenvalue": None,
-            "condition_number": None, "positive_definite": False}
         assert information_summary(None) is None
+
+    def test_nonfinite_information_is_an_se_error(self, tmp_path, monkeypatch):
+        def nan_hessian(params, design, m1, m_1):
+            p = msvg.inference.n_free_params(params)
+            return np.full((p, p), math.nan)
+
+        monkeypatch.setattr(msvg.inference, "_expected_hessian", nan_hessian)
+        prefix = tmp_path / "fit"
+        assert run_cli("fit", *PANEL_ARGS, "--tol", "1e-6", "--out", prefix) == 0
+        blob = json.loads(Path(f"{prefix}.json").read_text())
+        assert blob["information"] is None
+        assert blob["standard_errors"] == {}
+        assert blob["se_error"] == "ValueError: information matrix is not finite"
+
+    def test_one_eigendecomposition_per_information(self, monkeypatch):
+        # observed_info's warning, standard_errors and the report's summary
+        # all read the spectrum InfoMatrix computed
+        params = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
+                            gamma=[0.2, 0.3], nu=2.5)
+        data = sample(params, 400, seed=1)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: calls.append(1) or eigvalsh(m))
+        info = msvg.inference.observed_info(params, data)
+        msvg.inference.standard_errors(info)
+        summary = information_summary(info)
+        assert len(calls) == 1
+        assert summary["positive_definite"] is True
 
     def test_not_converged_exits_one_and_writes_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(msvg.cli, "FitConfig", functools.partial(FitConfig, max_iter=3))
@@ -167,6 +194,15 @@ class TestFit:
         out = ["--out", tmp_path / "o"] if command == "fit" else []
         assert run_cli(command, "--data", data, "--date-column", "date", *out) == 2
         assert "no value columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "summary", "simulate"])
+    def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys, command):
+        # a directory where a file is expected: IsADirectoryError, an OSError
+        args = {"fit": ["fit", "--data", tmp_path, "--out", tmp_path / "o"],
+                "summary": ["summary", "--data", tmp_path],
+                "simulate": ["simulate", tmp_path, "--out", tmp_path / "o"]}
+        assert run_cli(*args[command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_printed_line_names_the_files(self, tmp_path, capsys):
         prefix = tmp_path / "fit"
@@ -206,6 +242,17 @@ class TestGrid:
                        "--res", 2, "--out", tmp_path / "g.csv")
         assert code == 2
         assert "nu" in capsys.readouterr().err
+
+    def test_trivariate_block_is_a_usage_error(self, tmp_path, capsys):
+        bare = write_json(tmp_path / "p.json", {
+            "mu": [0.0] * 3, "sigma": np.eye(3).tolist(), "gamma": [0.0] * 3,
+            "nu": 2.0})
+        out = tmp_path / "g" / "g.csv"
+        code = run_cli("grid", "--params", bare, "--xlim=-1,1", "--ylim=-1,1",
+                       "--res", 2, "--out", out)
+        assert code == 2
+        assert "d = 3" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("top", ["params", 5, None], ids=["string", "number", "null"])
     def test_top_level_not_an_object(self, tmp_path, capsys, top):

@@ -16,7 +16,7 @@ from msvg.distribution import (
     _chol_lower,
     sample,
 )
-from msvg.specfun import digamma
+from msvg.specfun import bessel_k_order_derivative_over_k, digamma
 
 from oracles import gig_moments_quad, mixture_log_density_quad
 
@@ -345,6 +345,21 @@ class TestPosteriorMoments:
         mix_star = posterior_lambda_moments(p, y_star[None, :], guard=guard)
         assert mix.e_inv_lambda[0] == pytest.approx(mix_star.e_inv_lambda[0], rel=1e-9)
         assert mix.e_log_lambda[0] == pytest.approx(mix_star.e_log_lambda[0], rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [0.6, 3.0])
+    def test_e_log_is_the_order_derivative(self, nu):
+        # the E-step and the information share one order difference: bit for
+        # bit, E(log lam) = ln(delta/psi) + K_eta^(1,0)(z) / K_eta(z)
+        p = base_params(nu=nu)
+        guard = CenterGuard(1e-2)
+        y = np.vstack([p.mu, sample(p, 50, seed=4)])
+        mix = posterior_lambda_moments(p, y, guard=guard)
+        psi, eta, delta, guarded = Geometry.of(p, y).capped(p.nu, guard)
+        assert guarded[0]
+        log_dp = np.log(delta) - math.log(psi)
+        np.testing.assert_array_equal(
+            mix.e_log_lambda,
+            log_dp + bessel_k_order_derivative_over_k(eta, delta * psi))
 
     def test_asymptotic_limits_large_shape(self):
         # as delta -> 0 with the guard disabled:

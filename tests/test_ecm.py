@@ -20,7 +20,6 @@ from msvg.distribution import (
     sample,
 )
 from msvg.ecm import (
-    DegenerateMixingError,
     FitConfig,
     SuffStats,
     _bounded_brent,
@@ -155,10 +154,13 @@ class TestLocationSkewStep:
         np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-10)
 
     def test_equal_weights_degenerate(self):
-        y = np.arange(10.0)[:, None]
-        stats = accumulate_suff_stats(y, make_mix(y, 1.0, 1.0))
-        with pytest.raises(DegenerateMixingError):
-            cm_step_location_skew(stats, 10)
+        # the system is 0/0; its limit is the weighted mean and zero skew
+        y = np.column_stack([np.arange(10.0), np.arange(10.0) ** 2])
+        stats = accumulate_suff_stats(y, make_mix(y, 2.0, 0.5))
+        mu, gamma = cm_step_location_skew(stats, 10)
+        np.testing.assert_array_equal(mu, stats.s_y_over_lambda / stats.s_inv_lambda)
+        np.testing.assert_allclose(mu, y.mean(axis=0), rtol=1e-15)
+        np.testing.assert_array_equal(gamma, np.zeros(2))
 
 
 class TestArStep:

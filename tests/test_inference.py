@@ -231,6 +231,19 @@ class TestObservedInfo:
         assert np.trace(info.matrix) > 0.0
         assert info.index_map == param_labels(rep.params)
 
+    @pytest.mark.parametrize("ar", [False, True], ids=["plain", "ar1"])
+    def test_exactly_symmetric_off_the_optimum(self, ar):
+        # d=3 at nu < d/2 with a wide guard: every block of the expected
+        # Hessian, the scale block's off-diagonal pairs and guarded rows
+        p = MsvgParams(mu=[0.1, -0.2, 0.0],
+                       beta1=0.2 * np.eye(3) + 0.05 if ar else None,
+                       sigma=0.6 * np.eye(3) + 0.4, gamma=[0.3, -0.1, 0.2], nu=0.8)
+        data = sample(p, 120, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            info = observed_info(p, data, guard=CenterGuard(0.05))
+        np.testing.assert_array_equal(info.matrix, info.matrix.T)
+
     def test_matches_numerical_hessian(self):
         data, rep = converged_fit(n=1500, seed=42)
         guard = CenterGuard(1e-4)
@@ -306,6 +319,11 @@ class TestObservedInfo:
 
 
 class TestStandardErrors:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_info_matrix_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            InfoMatrix(matrix=np.diag([bad, 1.0, 2.0, 3.0]), index_map=list("abcd"))
+
     def test_diagonal_case(self):
         info = InfoMatrix(matrix=np.diag([4.0, 25.0]), index_map=["a", "b"])
         ses = standard_errors(info)

@@ -34,6 +34,16 @@ class TestLoadReturns:
         np.testing.assert_allclose(
             panel.values[0], [math.log(1.02), math.log(1.01)])
 
+    @pytest.mark.parametrize("token, dropped", [
+        ("NA", 1), ("nan", 1), ("NULL", 1), ("", 1), ("  ", 1), ("inf", 1),
+        ("N/A", 1), ("1e3", 0)], ids=["NA", "nan", "NULL", "empty", "blank",
+                                       "inf", "N/A", "1e3"])
+    def test_price_tokens(self, tmp_path, token, dropped):
+        path = write_csv(tmp_path, f"a,b\n100,200\n{token},201\n102,202\n")
+        panel = load_returns(path)
+        assert panel.dropped_rows == dropped
+        assert panel.n == 2 - dropped
+
     def test_row_count_contract(self):
         panel = load_returns(FIXTURE, date_column="date")
         # 61 raw rows, 2 with a missing price: 59 aligned price rows -> 58
