@@ -116,7 +116,10 @@ def cmd_fit(args) -> int:
     information = information_summary(info)
 
     k = n_free_params(params)
-    ic = aicc(report.final_loglik, k, report.n_obs)
+    try:
+        ic = aicc(report.final_loglik, k, report.n_obs)
+    except ValueError:  # n <= k + 1: the fit stands, its AICc is undefined
+        ic = None
     corr_sigma = _corr_from_cov(params.sigma)
     corr_total = _corr_from_cov(moments(params)[1])
 
@@ -161,7 +164,8 @@ def cmd_fit(args) -> int:
         f"algorithm: {report.algorithm}  converged: {report.converged}  "
         f"iterations: {report.conv_iter}"
         + (f"  switch_iter: {report.switch_iter}" if report.switch_iter else ""),
-        f"loglik: {_fmt(report.final_loglik)}  AICc: {_fmt(ic)}  k: {k}",
+        f"loglik: {_fmt(report.final_loglik)}  "
+        f"AICc: {'n/a' if ic is None else _fmt(ic)}  k: {k}",
         _information_line(information),
         "",
         "estimate (standard error)",
@@ -178,7 +182,8 @@ def cmd_fit(args) -> int:
         fh.write("\n".join(lines) + "\n")
 
     if args.ar == 1:
-        resid = panel.values[1:] - params.location(panel.values[:-1])
+        y, y_prev = params.modelled_rows(panel.values)
+        resid = y - params.location(y_prev)
         with open(f"{out}_residuals.csv", "w", newline="") as fh:
             fh.write(",".join(panel.series_names) + "\n")
             for row in resid:

@@ -297,8 +297,7 @@ def _gamma_score(nu: float, n: int, s_lambda: float, s_log_lambda: float) -> flo
             + s_log_lambda - s_lambda)
 
 
-def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float,
-                        bounds: tuple[float, float]):
+def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float):
     """Safeguarded Newton-Raphson update of the shape parameter.
 
     The score of the conditional gamma log-likelihood is strictly
@@ -307,9 +306,9 @@ def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float,
     otherwise the bracket is bisected.  Without a sign change the boundary
     with the larger gamma log-likelihood is returned and flagged.
 
-    Returns ``(nu, at_bound)``.
+    Returns ``(nu, at_bound)``; the bounds are :data:`NU_BOUNDS`.
     """
-    lo, hi = bounds
+    lo, hi = NU_BOUNDS
     args = (n, stats.s_lambda, stats.s_log_lambda)
     g_lo = _gamma_score(lo, *args)
     g_hi = _gamma_score(hi, *args)
@@ -416,18 +415,19 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float) -> float:
     return float(xf)
 
 
-def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
-                       guard: CenterGuard, y_prev: np.ndarray | None = None, *,
+def cm_step_shape_ecme(data: np.ndarray, params, guard: CenterGuard,
+                       y_prev: np.ndarray | None = None, *,
                        geometry: Geometry | None = None) -> float:
     """Shape update maximising the actual (capped) log-likelihood by
     Brent's bounded search (:func:`_bounded_brent`, ``xatol=1e-6``; the
     steps of SciPy's ``minimize_scalar(method="bounded")``).
 
     The search is warm: it starts on [nu/2, 2 nu] around the incoming
-    ``params.nu`` (clipped to ``bounds``), since nu moves little between
-    cycles.  While the optimum lies within 1e-5 of an edge that is not a
-    bound, both edges move out by a factor of 4, clipped to ``bounds``, and
-    the search runs again; an optimum on a bound is returned as it is.
+    ``params.nu`` (clipped to :data:`NU_BOUNDS`), since nu moves little
+    between cycles.  While the optimum lies within 1e-5 of an edge that is
+    not a bound, both edges move out by a factor of 4, clipped to the
+    bounds, and the search runs again; an optimum on a bound is returned as
+    it is.
 
     Only the shape varies, so Sigma is factorised and the residuals are
     whitened once (or not at all when ``geometry`` is handed in); each
@@ -438,7 +438,7 @@ def cm_step_shape_ecme(data: np.ndarray, params, bounds: tuple[float, float],
     def negll(nu: float) -> float:
         return -float(_osum(geometry.log_density(float(nu), guard)))
 
-    lo_bound, hi_bound = bounds
+    lo_bound, hi_bound = NU_BOUNDS
     start = min(max(params.nu, lo_bound), hi_bound)
     lo, hi = max(lo_bound, start / 2.0), min(hi_bound, start * 2.0)
     while True:
@@ -527,11 +527,10 @@ def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str,
         mix2 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
                                         geometry=geometry)
         stats2 = accumulate_suff_stats(y, mix2, ar_order=0)
-        nu, nu_at_bound = cm_step_shape_mcecm(stats2, n, trial.nu, NU_BOUNDS)
+        nu, nu_at_bound = cm_step_shape_mcecm(stats2, n, trial.nu)
         guarded = int(mix2.guarded.sum())
     else:
-        nu = cm_step_shape_ecme(y, trial, NU_BOUNDS, guard, y_prev=y_prev,
-                                geometry=geometry)
+        nu = cm_step_shape_ecme(y, trial, guard, y_prev=y_prev, geometry=geometry)
         guarded = int(mix34.guarded.sum())
     trial = replace(trial, nu=float(nu))
     return trial, geometry, guarded, nu_at_bound

@@ -17,14 +17,14 @@ Every per-observation score is a linear combination of the monomials
 covariance) come from the closed GIG moment formulas with the order
 derivatives of K handled by central differences.
 
-The free-parameter vector stacks the location vector ``mu`` (labelled
-beta0 for AR(1) parameters, where it is the intercept), vec(beta1)
-column-major (AR only), vech(Sigma) column-major lower triangle, gamma, and
-nu; off-diagonal scale entries carry the usual factor-two adjustment for
-the symmetric parameterisation.
+The location is regressed on r_i = (1, y_{i-1}) for AR(1) and on r_i = (1)
+for the plain model, so one score and one Hessian serve both.
+:func:`_blocks` is the one layout of the free-parameter vector;
+off-diagonal scale entries carry the usual factor-two adjustment for the
+symmetric parameterisation.
 
 One rule makes the information exactly symmetric: :func:`observed_info`
-mirrors its upper triangle down, the only triangle the Hessian fills.
+mirrors its upper triangle down; the Hessian fills no block below it.
 """
 
 from __future__ import annotations
@@ -71,6 +71,21 @@ def vech_indices(d: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(d) for i in range(j, d)]
 
 
+def _blocks(params) -> dict[str, slice]:
+    """The one layout of the free-parameter vector, block by block.
+
+    ``loc`` is vec([mu | beta1]) column-major: mu (labelled beta0 for AR(1))
+    first, then vec(beta1); then vech(Sigma) column-major lower triangle,
+    gamma and nu.
+    """
+    d = params.d
+    sizes = {"loc": d * (d + 1 if params.ar else 1), "sigma": d * (d + 1) // 2,
+             "gamma": d, "nu": 1}
+    stops = np.cumsum(list(sizes.values())).tolist()
+    return {name: slice(stop - size, stop)
+            for (name, size), stop in zip(sizes.items(), stops)}
+
+
 def param_labels(params) -> list[str]:
     """Ordered labels of the free-parameter vector."""
     d = params.d
@@ -85,33 +100,28 @@ def param_labels(params) -> list[str]:
 
 def flatten_params(params) -> np.ndarray:
     """Free-parameter vector in the :func:`param_labels` order."""
-    d = params.d
-    parts = [params.mu]
-    if params.ar:
-        parts.append(params.beta1.flatten(order="F"))
-    parts.append(np.array([params.sigma[i, j] for i, j in vech_indices(d)]))
-    parts.append(params.gamma)
-    parts.append(np.array([params.nu]))
-    return np.concatenate(parts)
+    blocks = _blocks(params)
+    rows, cols = np.array(vech_indices(params.d)).T
+    theta = np.empty(blocks["nu"].stop)
+    loc = [params.mu, params.beta1] if params.ar else [params.mu]
+    theta[blocks["loc"]] = np.column_stack(loc).ravel(order="F")
+    theta[blocks["sigma"]] = params.sigma[rows, cols]
+    theta[blocks["gamma"]] = params.gamma
+    theta[blocks["nu"]] = params.nu
+    return theta
 
 
 def unflatten_params(theta: np.ndarray, template) -> MsvgParams:
     """Rebuild a parameter block from a free-parameter vector."""
     d = template.d
-    pos = 0
-    loc = theta[pos:pos + d]
-    pos += d
-    beta1 = None
-    if template.ar:
-        beta1 = theta[pos:pos + d * d].reshape(d, d, order="F")
-        pos += d * d
+    blocks = _blocks(template)
+    rows, cols = np.array(vech_indices(d)).T
+    loc = theta[blocks["loc"]].reshape(d, -1, order="F")
     sigma = np.zeros((d, d))
-    for i, j in vech_indices(d):
-        sigma[i, j] = sigma[j, i] = theta[pos]
-        pos += 1
-    gamma = theta[pos:pos + d]
-    pos += d
-    return MsvgParams(mu=loc, sigma=sigma, gamma=gamma, nu=float(theta[pos]), beta1=beta1)
+    sigma[rows, cols] = sigma[cols, rows] = theta[blocks["sigma"]]
+    return MsvgParams(mu=loc[:, 0], sigma=sigma, gamma=theta[blocks["gamma"]],
+                      nu=theta[blocks["nu"]].item(),
+                      beta1=loc[:, 1:] if template.ar else None)
 
 
 def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
@@ -157,24 +167,24 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
 
 
 def _design(params, data, y_prev):
-    """What the score and the Hessian share.
-
-    Returns the lagged block x (None when not given), the residuals
-    e_i = y_i - location_i, the precision P = Sigma^-1, and for every
-    vech(Sigma) direction m its symmetric basis matrix E_m and P E_m P.
+    """What the score and the Hessian share: the location's regressors r
+    (n, k), the residuals e_i, the precision P = Sigma^-1, and for every
+    vech(Sigma) direction m, with symmetric basis matrix E_m, the stacks
+    P E_m and P E_m P.
     """
     y = np.atleast_2d(np.asarray(data, dtype=float))
     x = None if y_prev is None else np.atleast_2d(np.asarray(y_prev, dtype=float))
     resid = y - params.location(x)
+    ones = np.ones((y.shape[0], 1))
+    r = np.hstack([ones, x]) if params.ar else ones
     prec = np.linalg.inv(0.5 * (params.sigma + params.sigma.T))
     prec = 0.5 * (prec + prec.T)
-    pairs = vech_indices(params.d)
-    e_stack = np.zeros((len(pairs), params.d, params.d))
-    w_stack = np.empty_like(e_stack)
-    for m, (i, j) in enumerate(pairs):
-        e_stack[m, i, j] = e_stack[m, j, i] = 1.0
-        w_stack[m] = prec @ e_stack[m] @ prec
-    return x, resid, prec, e_stack, w_stack
+    rows, cols = np.array(vech_indices(params.d)).T
+    basis = np.zeros((len(rows), params.d, params.d))
+    m = np.arange(len(rows))
+    basis[m, rows, cols] = basis[m, cols, rows] = 1.0
+    pe = prec @ basis
+    return r, resid, prec, pe, pe @ prec
 
 
 def _score_stacks(params, design):
@@ -184,45 +194,25 @@ def _score_stacks(params, design):
     mixing weight lam is A_i + B_i / lam + C_i lam + D_i log lam.
     ``design`` is :func:`_design` of ``params`` and the data.
     """
-    d = params.d
-    ar = params.ar
-    x, resid, prec, e_stack, w_stack = design
+    r, resid, prec, pe, w_stack = design
     n = resid.shape[0]
+    loc, sig, gam, nu = _blocks(params).values()
     pg = prec @ params.gamma
-    pe = resid @ prec                       # rows: Sigma^-1 e_i
-    ps = e_stack.shape[0]
-    tr_pe = np.array([np.trace(prec @ basis) for basis in e_stack])
-
-    p = n_free_params(params)
-    a = np.zeros((n, p))
-    b = np.zeros((n, p))
-    c = np.zeros((n, p))
-    dd = np.zeros((n, p))
-
-    pos = 0
-    # location block
-    a[:, pos:pos + d] = -pg
-    b[:, pos:pos + d] = pe
-    pos += d
-    if ar:
-        # vec(beta1) column-major: entry (r, col) at index col*d + r
-        a[:, pos:pos + d * d] = (x[:, :, None] * (-pg)[None, None, :]).reshape(n, d * d)
-        b[:, pos:pos + d * d] = (x[:, :, None] * pe[:, None, :]).reshape(n, d * d)
-        pos += d * d
-    # vech(Sigma) block
+    pr = resid @ prec                       # rows: Sigma^-1 e_i
     wg = w_stack @ params.gamma             # (ps, d)
-    a[:, pos:pos + ps] = -0.5 * tr_pe - resid @ wg.T
-    b[:, pos:pos + ps] = 0.5 * np.einsum("ni,mij,nj->nm", resid, w_stack, resid)
-    c[:, pos:pos + ps] = 0.5 * params.gamma @ wg.T
-    pos += ps
-    # gamma block
-    a[:, pos:pos + d] = pe
-    c[:, pos:pos + d] = -pg
-    pos += d
-    # nu entry
-    a[:, pos] = 1.0 + math.log(params.nu) - float(digamma(params.nu))
-    c[:, pos] = -1.0
-    dd[:, pos] = 1.0
+    a, b, c, dd = (np.zeros((n, nu.stop)) for _ in range(4))
+
+    # d/d vec(B) of B r_i is r_i (x) I: entry (row j, column l) at l*d + j
+    a[:, loc] = (r[:, :, None] * -pg).reshape(n, -1)
+    b[:, loc] = (r[:, :, None] * pr[:, None, :]).reshape(n, -1)
+    a[:, sig] = -0.5 * np.trace(pe, axis1=1, axis2=2) - resid @ wg.T
+    b[:, sig] = 0.5 * np.einsum("ni,mij,nj->nm", resid, w_stack, resid)
+    c[:, sig] = 0.5 * params.gamma @ wg.T
+    a[:, gam] = pr
+    c[:, gam] = -pg
+    a[:, nu] = 1.0 + math.log(params.nu) - float(digamma(params.nu))
+    c[:, nu] = -1.0
+    dd[:, nu] = 1.0
     return a, b, c, dd
 
 
@@ -239,62 +229,34 @@ def complete_score(params, data, lambda_block, y_prev=None) -> np.ndarray:
 def _expected_hessian(params, design, m1, m_1):
     """Conditional expectation of the complete-data Hessian, summed over rows.
 
-    Only the upper triangle is filled; :func:`observed_info` mirrors it.
+    Only the blocks on and above the diagonal are filled;
+    :func:`observed_info` mirrors the upper triangle.
     """
-    d = params.d
-    ar = params.ar
-    x, resid, prec, e_stack, w_stack = design
+    r, resid, prec, pe, w_stack = design
     n = resid.shape[0]
     gamma = params.gamma
-    ps = e_stack.shape[0]
+    loc, sig, gam, nu = _blocks(params).values()
+    h = np.zeros((nu.stop, nu.stop))
 
-    p = n_free_params(params)
-    h = np.zeros((p, p))
-    i_loc = slice(0, d)
-    i_b1 = slice(d, d + d * d) if ar else None
-    off = d + (d * d if ar else 0)
-    i_gam = slice(off + ps, off + ps + d)
-    i_nu = off + ps + d
-
-    sm_1 = float(m_1.sum())
     sm1 = float(m1.sum())
     se = resid.sum(axis=0)
-    ve = (m_1[:, None] * resid).sum(axis=0)        # sum m_1 e_i
+    h[loc, loc] = -np.kron(r.T @ (m_1[:, None] * r), prec)
+    h[loc, gam] = -np.kron(r.sum(axis=0)[:, None], prec)
+    h[gam, gam] = -sm1 * prec
 
-    h[i_loc, i_loc] = -sm_1 * prec
-    h[i_loc, i_gam] = -n * prec
-    h[i_gam, i_gam] = -sm1 * prec
-    if ar:
-        sx_m1 = (m_1[:, None] * x).sum(axis=0)
-        sxx_m1 = x.T @ (m_1[:, None] * x)
-        sx = x.sum(axis=0)
-        h[i_loc, i_b1] = -np.kron(sx_m1[None, :], prec).reshape(d, d * d)
-        h[i_b1, i_b1] = -np.kron(sxx_m1, prec)
-        h[i_b1, i_gam] = -np.kron(sx[:, None], prec).reshape(d * d, d)
+    # scale cross blocks: -vec(W_m sum_i (m_1 e_i - gamma) r_i') and -W_m (se - sm1 gamma)
+    wm = w_stack @ ((m_1[:, None] * resid - gamma).T @ r)       # (ps, d, k)
+    h[loc, sig] = -wm.transpose(0, 2, 1).reshape(len(wm), -1).T
+    h[sig, gam] = -(w_stack @ (se - sm1 * gamma))
 
-    # scale cross blocks, one basis direction at a time
-    mx = (m_1[:, None] * resid - gamma).T @ x if ar else None
-    for m in range(ps):
-        w = w_stack[m]
-        h[i_loc, off + m] = -w @ (ve - n * gamma)
-        h[off + m, i_gam] = -w @ (se - sm1 * gamma)
-        if ar:
-            h[i_b1, off + m] = -(w @ mx).flatten(order="F")
-
-    # scale-scale block
+    # scale-scale: (n/2) tr(PE_a PE_b) - (1/2) tr((PE_a PE_b + PE_b PE_a) P T)
     t_bar = ((m_1[:, None] * resid).T @ resid
              - np.outer(se, gamma) - np.outer(gamma, se) + sm1 * np.outer(gamma, gamma))
-    pe_stack = np.einsum("ij,mjk->mik", prec, e_stack)     # P E_m
-    pt = prec @ t_bar
-    for a_idx in range(ps):
-        pa = pe_stack[a_idx]
-        for b_idx in range(a_idx, ps):
-            pb = pe_stack[b_idx]
-            first = 0.5 * n * np.trace(pa @ pb)
-            second = -0.5 * (np.trace(pa @ pb @ pt) + np.trace(pb @ pa @ pt))
-            h[off + a_idx, off + b_idx] = first + second
+    tr_ab = np.einsum("aij,bji->ab", pe, pe)
+    tr_abt = np.einsum("aij,bji->ab", pe, pe @ (prec @ t_bar))
+    h[sig, sig] = 0.5 * n * tr_ab - 0.5 * (tr_abt + tr_abt.T)
 
-    h[i_nu, i_nu] = n * (1.0 / params.nu - float(trigamma(params.nu)))
+    h[nu, nu] = n * (1.0 / params.nu - float(trigamma(params.nu)))
     return h
 
 
@@ -385,6 +347,4 @@ def aicc(loglik: float, k: int, n: int) -> float:
 
 def n_free_params(params) -> int:
     """Size of the free-parameter vector."""
-    d = params.d
-    base = 2 * d + d * (d + 1) // 2 + 1
-    return base + (d * d if params.ar else 0)
+    return _blocks(params)["nu"].stop

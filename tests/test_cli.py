@@ -128,6 +128,23 @@ class TestFit:
         assert len(lines) == 1
         assert lines[0].endswith(f"positive definite: {info['positive_definite']}")
 
+    def test_undefined_aicc_keeps_the_fit(self, tmp_path):
+        # d=5 AR(1) on 52 rows: 51 modelled rows and k = 51 free parameters
+        params = MsvgParams(mu=np.zeros(5), beta1=0.2 * np.eye(5),
+                            sigma=0.3 * np.ones((5, 5)) + 0.7 * np.eye(5),
+                            gamma=[0.1, 0.2, 0.3, 0.4, 0.5], nu=2.5)
+        rows = sample(params, 52, seed=0)
+        data = tmp_path / "panel.csv"
+        data.write_text("a,b,c,d,e\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        prefix = tmp_path / "fit"
+        code = run_cli("fit", "--data", data, "--values", "--ar", 1, "--out", prefix)
+        assert code in (0, 1)
+        blob = json.loads(Path(f"{prefix}.json").read_text())
+        assert blob["aicc"] is None
+        assert blob["k"] == blob["n_modelled"] == 51
+        assert "AICc: n/a" in Path(f"{prefix}.txt").read_text()
+
     def test_information_null_when_it_cannot_be_formed(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("no information here")

@@ -283,8 +283,7 @@ class TestShapeSteps:
         stats = SuffStats(s_y=np.zeros(1), s_y_over_lambda=np.zeros(1),
                           s_lambda=float(n), s_inv_lambda=float(n),
                           s_log_lambda=n * (float(digamma(nu0)) - math.log(nu0)))
-        nu, at_bound = cm_step_shape_mcecm(stats, n, nu_current=1.0,
-                                           bounds=(1e-4, 200.0))
+        nu, at_bound = cm_step_shape_mcecm(stats, n, nu_current=1.0)
         assert not at_bound
         assert nu == pytest.approx(nu0, rel=1e-9)
 
@@ -304,8 +303,7 @@ class TestShapeSteps:
         stats = SuffStats(s_y=np.zeros(1), s_y_over_lambda=np.zeros(1),
                           s_lambda=float(n), s_inv_lambda=float(n),
                           s_log_lambda=-1e8)
-        nu, at_bound = cm_step_shape_mcecm(stats, n, nu_current=1.0,
-                                           bounds=(1e-4, 200.0))
+        nu, at_bound = cm_step_shape_mcecm(stats, n, nu_current=1.0)
         assert at_bound
         assert nu == 1e-4
 
@@ -314,7 +312,7 @@ class TestShapeSteps:
         y = sample(true, 5000, seed=24)
         guard = CenterGuard(1e-4)
         start = replace(true, nu=1.0)
-        nu = cm_step_shape_ecme(y, start, (1e-4, 200.0), guard)
+        nu = cm_step_shape_ecme(y, start, guard)
         assert abs(nu - 3.0) < 0.15
         # grid-scan oracle at resolution 1e-3 around the returned point
         grid = np.arange(nu - 0.05, nu + 0.05, 1e-3)
@@ -329,7 +327,7 @@ class TestShapeSteps:
         y = np.array([[-1.0], [1.0], [-1.0]])
         for start in (1.0, 1000.0):
             q = MsvgParams(mu=[-1.0 / 3.0], sigma=[[8.0 / 9.0]], gamma=[0.0], nu=start)
-            nu = cm_step_shape_ecme(y, q, (1e-4, 200.0), CenterGuard(1e-4))
+            nu = cm_step_shape_ecme(y, q, CenterGuard(1e-4))
             assert nu == pytest.approx(200.0, abs=1e-5)
 
     @pytest.mark.parametrize("ar", [False, True], ids=["plain", "ar1"])
@@ -348,8 +346,7 @@ class TestShapeSteps:
                           for b in [(2.0, 8.0), (0.5, 32.0)])
         assert first - 2.0 < 1e-5
         assert 0.5 + 1e-5 < widened < 32.0 - 1e-5
-        assert cm_step_shape_ecme(y, start, (1e-4, 200.0), guard,
-                                  y_prev=y_prev) == float(widened)
+        assert cm_step_shape_ecme(y, start, guard, y_prev=y_prev) == float(widened)
 
     @pytest.mark.parametrize("case", ["plain", "ar1", "guarded"])
     def test_ecme_warm_matches_full_range_search(self, case):
@@ -365,7 +362,7 @@ class TestShapeSteps:
             return float(_osum(geometry.log_density(v, guard)))
 
         cold = _bounded_brent(lambda v: -loglik(v), 1e-4, 200.0, xatol=1e-6)
-        warm = cm_step_shape_ecme(y, start, (1e-4, 200.0), guard, y_prev=y_prev,
+        warm = cm_step_shape_ecme(y, start, guard, y_prev=y_prev,
                                   geometry=geometry)
         assert loglik(warm) >= loglik(cold) - 1e-10 * abs(loglik(cold))
 
@@ -383,7 +380,7 @@ class TestShapeSteps:
             return density(self, nu, guard)
 
         monkeypatch.setattr(Geometry, "log_density", counted)
-        warm = cm_step_shape_ecme(y, rep.params, (1e-4, 200.0), guard, geometry=geometry)
+        warm = cm_step_shape_ecme(y, rep.params, guard, geometry=geometry)
         n_warm = len(calls)
         cold = _bounded_brent(lambda v: -float(_osum(geometry.log_density(v, guard))),
                               1e-4, 200.0, xatol=1e-6)
@@ -397,8 +394,7 @@ class TestShapeSteps:
         rep = fit(y, FitConfig(algorithm="mcecm", scale_c=1.0, tol=1e-11,
                                max_iter=20000))
         assert rep.converged and rep.params.nu > 1.0
-        nu = cm_step_shape_ecme(y, rep.params, (1e-4, 200.0),
-                                CenterGuard.default_for_dim(2))
+        nu = cm_step_shape_ecme(y, rep.params, CenterGuard.default_for_dim(2))
         assert abs(nu - rep.params.nu) < 1e-3
 
 

@@ -85,10 +85,9 @@ class TestHandoffBitIdentity:
     def test_shape_step(self, name):
         p, y, y_prev, guard = case(name)
         guard = guard or CenterGuard.default_for_dim(p.d)
-        bounds = (1e-4, 200.0)
-        assert (cm_step_shape_ecme(y, p, bounds, guard, y_prev,
+        assert (cm_step_shape_ecme(y, p, guard, y_prev,
                                    geometry=Geometry.of(p, y, y_prev))
-                == cm_step_shape_ecme(y, p, bounds, guard, y_prev))
+                == cm_step_shape_ecme(y, p, guard, y_prev))
 
 
 class TestStaleGeometry:
@@ -107,7 +106,7 @@ class TestStaleGeometry:
         consumers = [
             lambda: posterior_lambda_moments(other, y, y_prev=y_prev, geometry=geometry),
             lambda: observed_loglik(y, other, y_prev=y_prev, geometry=geometry),
-            lambda: cm_step_shape_ecme(y, other, (1e-4, 200.0), CenterGuard(1e-4),
+            lambda: cm_step_shape_ecme(y, other, CenterGuard(1e-4),
                                        y_prev, geometry=geometry),
             lambda: conditional_lambda_moment(other, y, y_prev=y_prev, geometry=geometry),
             lambda: cm_step_scale(y, other, mix, y_prev),

@@ -28,6 +28,11 @@ from oracles import complete_data_loglik, gig_moment_quad, numerical_gradient, n
 
 BASE = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
                   gamma=[0.2, 0.3], nu=3.0)
+# d=3 AR(1) with a non-symmetric lag matrix and distinct scale entries
+AR3 = MsvgParams(mu=[0.1, -0.2, 0.3],
+                 beta1=[[0.2, 0.1, 0.0], [-0.3, 0.1, 0.05], [0.0, 0.4, -0.1]],
+                 sigma=[[1.0, 0.3, 0.1], [0.3, 0.9, -0.2], [0.1, -0.2, 1.1]],
+                 gamma=[0.2, -0.1, 0.05], nu=2.0)
 
 
 class TestParamVector:
@@ -45,14 +50,24 @@ class TestParamVector:
         assert labels[-1] == "nu"
         assert len(labels) == n_free_params(p) == 12
 
-    def test_flatten_roundtrip(self):
-        theta = flatten_params(BASE)
-        assert theta.shape == (n_free_params(BASE),)
-        back = unflatten_params(theta, BASE)
-        np.testing.assert_array_equal(back.mu, BASE.mu)
-        np.testing.assert_array_equal(back.sigma, BASE.sigma)
-        np.testing.assert_array_equal(back.gamma, BASE.gamma)
-        assert back.nu == BASE.nu
+    @pytest.mark.parametrize("p", [BASE, AR3], ids=["plain", "ar1"])
+    def test_flatten_roundtrip(self, p):
+        theta = flatten_params(p)
+        assert theta.shape == (n_free_params(p),)
+        named = dict(zip(param_labels(p), theta))
+        for i, j in vech_indices(p.d):
+            assert named[f"sigma_{i + 1}{j + 1}"] == p.sigma[i, j]
+        back = unflatten_params(theta, p)
+        np.testing.assert_array_equal(back.mu, p.mu)
+        np.testing.assert_array_equal(back.sigma, p.sigma)
+        np.testing.assert_array_equal(back.gamma, p.gamma)
+        assert back.nu == p.nu
+        if p.ar:
+            for (r, c), v in np.ndenumerate(p.beta1):
+                assert named[f"beta1_{r + 1}{c + 1}"] == v
+            np.testing.assert_array_equal(back.beta1, p.beta1)
+        else:
+            assert back.beta1 is None
 
     def test_vech_order(self):
         assert vech_indices(3) == [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
@@ -180,7 +195,7 @@ class TestCompleteScore:
         point = MsvgParams(mu=mu, sigma=np.eye(d), gamma=gamma, nu=1.0)
         mix.tag = Geometry.of(point, y).tag
         sigma = msvg.cm_step_scale(y, point, mix)
-        nu, _ = msvg.cm_step_shape_mcecm(stats, n, 1.0, (1e-4, 200.0))
+        nu, _ = msvg.cm_step_shape_mcecm(stats, n, 1.0)
         p = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=nu)
         score = complete_score(p, y, lam)
         assert np.max(np.abs(score)) < 1e-9 * n
@@ -310,6 +325,21 @@ class TestObservedInfo:
             for c in range(2):
                 lab = f"beta1_{r + 1}{c + 1}"
                 assert abs(rep.params.beta1[r, c]) < 3.0 * ses[lab], lab
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ar_at_zero_lag_nests_the_plain_information(self, d):
+        # at beta1 = 0 both models share every entry outside the beta1 block
+        plain = MsvgParams(mu=np.linspace(-0.1, 0.1, d), sigma=0.6 * np.eye(d) + 0.4,
+                           gamma=np.linspace(0.3, -0.1, d), nu=1.2)
+        data = sample(plain, 90, seed=d)
+        ar = replace(plain, beta1=np.zeros((d, d)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            full = observed_info(ar, data)
+            ref = observed_info(plain, data[1:]).matrix
+        keep = [i for i, lab in enumerate(full.index_map) if not lab.startswith("beta1_")]
+        nested = full.matrix[np.ix_(keep, keep)]
+        assert np.abs(nested - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_nonfinite_moment_names_observation(self):
         p = replace(BASE, nu=0.6)
