@@ -33,7 +33,6 @@ from .ecm import (
     FitReport,
     SuffStats,
     accumulate_suff_stats,
-    cm_step_ar,
     cm_step_location_skew,
     cm_step_scale,
     cm_step_shape_ecme,
@@ -79,7 +78,6 @@ __all__ = [
     "accumulate_suff_stats",
     "aicc",
     "bessel_k_order_derivative_over_k",
-    "cm_step_ar",
     "cm_step_location_skew",
     "cm_step_scale",
     "cm_step_shape_ecme",

@@ -7,8 +7,9 @@ byte-identical files; ``fit`` reports its wall time only in the printed
 :meth:`MsvgParams.from_json` / :meth:`MsvgParams.to_json`: ``mu`` for the
 plain model, ``beta0`` and ``beta1`` for AR(1); study specs by
 :func:`msvg.study.parse_study_spec`.  Exit codes: 0 success, 1 numerical
-failure, 2 usage or schema error (any ``ValueError``) or a file that
-cannot be read or written (any ``OSError``).
+failure (``ArithmeticError``, ``LinAlgError``, ``RuntimeError``), 2 usage
+or schema error (any other ``ValueError``) or a file that cannot be read
+or written (any ``OSError``).
 """
 
 from __future__ import annotations
@@ -313,12 +314,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+        # first: LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

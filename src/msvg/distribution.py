@@ -52,7 +52,7 @@ one place that forms the location.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -124,6 +124,16 @@ class MsvgParams:
             raise ValueError("AR parameters require the lagged observations")
         return self.mu + np.asarray(y_prev, dtype=float) @ self.beta1.T
 
+    def regressors(self, y, y_prev=None) -> np.ndarray:
+        """The location's regressors r_i, a row per row of ``y``: (1), or
+        (1, y_{i-1}) for AR(1); the location is [mu | beta1] r_i."""
+        ones = np.ones((len(y), 1))
+        return np.hstack([ones, y_prev]) if self.ar else ones
+
+    def with_coefficients(self, coef, **changes) -> "MsvgParams":
+        """A copy with location coefficients [mu | beta1] = ``coef`` (d, k)."""
+        return replace(self, mu=coef[:, 0], beta1=coef[:, 1:] if self.ar else None, **changes)
+
     def modelled_rows(self, data, y_prev=None):
         """``(y, y_prev)`` of a data block; for AR(1) with no lagged block
         given, the first row only conditions the second and is not modelled."""
@@ -155,17 +165,21 @@ class MsvgParams:
 
     @classmethod
     def from_json(cls, blob: dict) -> "MsvgParams":
-        """Inverse of :meth:`to_json`; a block that is not a JSON object or
-        lacks a field raises ValueError."""
+        """Inverse of :meth:`to_json`; a block that is not a JSON object,
+        lacks a field or has a Sigma that is not positive definite raises
+        ValueError."""
         if not isinstance(blob, dict):
             raise ValueError("parameter block must be a JSON object")
         try:
-            if "beta0" in blob:
-                return cls(mu=blob["beta0"], beta1=blob["beta1"], sigma=blob["sigma"],
-                           gamma=blob["gamma"], nu=blob["nu"])
-            return cls(mu=blob["mu"], sigma=blob["sigma"], gamma=blob["gamma"], nu=blob["nu"])
+            loc = ({"mu": blob["beta0"], "beta1": blob["beta1"]} if "beta0" in blob
+                   else {"mu": blob["mu"]})
+            params = cls(sigma=blob["sigma"], gamma=blob["gamma"], nu=blob["nu"], **loc)
+            _chol_lower(params.sigma)
         except KeyError as exc:
             raise ValueError(f"parameter block is missing field {exc}") from None
+        except np.linalg.LinAlgError:
+            raise ValueError("parameter block's sigma is not positive definite") from None
+        return params
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Three fitting algorithms share one cycle structure:
 
 * ``mcecm`` -- multicycle ECM: conditional-expectation steps for the mixing
-  weights interleaved with closed-form conditional maximisations for the
-  location/skew and scale blocks, and a safeguarded Newton-Raphson update of
-  the shape parameter on the conditional gamma log-likelihood.
+  weights interleaved with conditional maximisations (one weighted
+  regression for the location and skew, a closed form for the scale) and a
+  safeguarded Newton-Raphson update of the shape parameter on the
+  conditional gamma log-likelihood.
 * ``ecme`` -- identical except the shape update maximises the actual
   marginal log-likelihood by Brent's bounded search (:func:`_bounded_brent`,
   step for step SciPy's ``minimize_scalar(method="bounded")``), which
@@ -55,6 +56,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .distribution import (
     CenterGuard,
@@ -94,18 +96,15 @@ def _osum(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
 @dataclass
 class SuffStats:
-    """Sufficient statistics of the complete-data log-likelihood."""
+    """Sums over rows of the complete-data sufficient statistics: y, r (the
+    location's regressors), E(1/lam) r r', E(1/lam) r y', E(lam), E(log lam)."""
 
     s_y: np.ndarray
-    s_y_over_lambda: np.ndarray
+    s_r: np.ndarray
+    s_rr_over_lambda: np.ndarray
+    s_ry_over_lambda: np.ndarray
     s_lambda: float
-    s_inv_lambda: float
     s_log_lambda: float
-    # AR(1) additions; None in the constant-mean model
-    s_x: np.ndarray | None = None
-    s_x_over_lambda: np.ndarray | None = None
-    s_xx_over_lambda: np.ndarray | None = None
-    s_xy_over_lambda: np.ndarray | None = None
 
 
 @dataclass
@@ -185,79 +184,74 @@ def initial_params(data: np.ndarray, ar_order: int = 0):
 
 
 def accumulate_suff_stats(data: np.ndarray, mix: MixingExpectations,
-                          ar_order: int = 0, y_prev: np.ndarray | None = None) -> SuffStats:
-    """Sums of the complete-data sufficient statistics, in fixed row order."""
+                          r: np.ndarray | None = None) -> SuffStats:
+    """Sums of the complete-data sufficient statistics, in fixed row order;
+    ``r`` (n, k) holds the location's regressors, by default the intercept."""
     y = np.atleast_2d(np.asarray(data, dtype=float))
-    w = mix.e_inv_lambda
-    stats = SuffStats(
+    r = np.ones((len(y), 1)) if r is None else r
+    w = mix.e_inv_lambda[:, None, None] * r[:, :, None]
+    return SuffStats(
         s_y=_osum(y),
-        s_y_over_lambda=_osum(w[:, None] * y),
+        s_r=_osum(r),
+        s_rr_over_lambda=_osum(w * r[:, None, :]),
+        s_ry_over_lambda=_osum(w * y[:, None, :]),
         s_lambda=float(_osum(mix.e_lambda)),
-        s_inv_lambda=float(_osum(w)),
         s_log_lambda=(float(_osum(mix.e_log_lambda))
                       if mix.e_log_lambda is not None else math.nan),
     )
-    if ar_order == 1:
-        if y_prev is None:
-            raise ValueError("AR statistics need the lagged observations")
-        x = np.atleast_2d(np.asarray(y_prev, dtype=float))
-        if x.shape != y.shape:
-            raise ValueError("lagged block must match the observation block")
-        stats.s_x = _osum(x)
-        stats.s_x_over_lambda = _osum(w[:, None] * x)
-        stats.s_xx_over_lambda = _osum(w[:, None, None] * (x[:, :, None] * x[:, None, :]))
-        stats.s_xy_over_lambda = _osum(w[:, None, None] * (x[:, :, None] * y[:, None, :]))
-    return stats
 
 
-def cm_step_location_skew(stats: SuffStats, n: int):
-    """Closed-form joint update of location and skewness.
+def _min_pivot(mat: np.ndarray, diag: np.ndarray) -> float:
+    """Least squared Cholesky pivot of ``mat`` Jacobi-equilibrated by
+    ``diag``: the least share of a column that the columns before it leave
+    unexplained; 0 when the factorisation fails."""
+    scale = 1.0 / np.sqrt(np.maximum(diag, 1e-300))  # a zero column: pivot 0
+    chol, info = lapack.dpotrf(scale[:, None] * mat * scale, lower=1)
+    return 0.0 if info else float(chol.diagonal().min()) ** 2
 
-    Solves the weighted normal equations of the conditional normal
-    log-likelihood.  When all mixing weights coincide the system is 0/0, and
-    its limit is returned: the weighted mean and zero skew.
+
+def _gauss_jordan(aug: np.ndarray, k: int) -> np.ndarray:
+    """X with A X = B from [A | B], A (k, k) symmetric positive definite, by
+    Gauss-Jordan elimination in place that divides each pivot row by its
+    pivot (k = 1: exactly B / A)."""
+    for j in range(k):
+        aug[j] /= aug[j, j]
+        aug -= np.where(np.arange(k)[:, None] == j, 0.0, aug[:, j:j + 1] * aug[j])
+    return aug[:, k:]
+
+
+def cm_step_location_skew(stats: SuffStats):
+    """Location coefficients B = [mu | beta1] (d, k) and skew: the weighted
+    least squares of y_i on (r_i, lam_i).  Its normal equations, with
+    A = S E(1/lam) r r', b = S r and c = S E(lam) (S the sum over rows), are
+    [[A, b], [b', c]] [B'; gamma'] = [S E(1/lam) r y'; S y'].  The skew is
+    eliminated first, (c A - b b') B' = c S E(1/lam) r y' - b S y', then
+    gamma = (S y - B b) / c: for the plain model (k = 1) the closed form.
+
+    A system that is not finite, or a squared pivot at most 1e-12 of its
+    Jacobi-equilibrated form, raises ``LinAlgError``, except the skew's (all
+    mixing weights equal: 0/0), whose limit is returned: zero skew and the
+    weighted least squares of y on r.
     """
-    den = stats.s_inv_lambda * stats.s_lambda - float(n) ** 2
-    if den <= 1e-12 * float(n) ** 2:
-        mu = stats.s_y_over_lambda / stats.s_inv_lambda
-        return mu, np.zeros_like(mu)
-    mu = (stats.s_y_over_lambda * stats.s_lambda - n * stats.s_y) / den
-    gamma = (stats.s_y - n * mu) / stats.s_lambda
-    return mu, gamma
+    k, d = stats.s_ry_over_lambda.shape
+    a, b, c = stats.s_rr_over_lambda, stats.s_r, stats.s_lambda
+    reduced = np.concatenate([c * a - b[:, None] * b,
+                              c * stats.s_ry_over_lambda - b[:, None] * stats.s_y], axis=1)
+    if not np.logical_and.reduce(np.isfinite(reduced), axis=None):
+        raise np.linalg.LinAlgError("location system is not finite")
+    if _min_pivot(reduced[:, :k], c * a.diagonal()) <= 1e-12:
+        if _min_pivot(a, a.diagonal()) <= 1e-12:
+            raise np.linalg.LinAlgError(
+                "location system is singular: the regressors are collinear")
+        limit = _gauss_jordan(np.concatenate([a, stats.s_ry_over_lambda], axis=1), k)
+        return limit.T, np.zeros(d)
+    coef = _gauss_jordan(reduced, k)
+    return coef.T, (stats.s_y - b @ coef) / c
 
 
-def cm_step_ar(stats: SuffStats, n: int):
-    """Closed-form joint update of (beta0, beta1, gamma).
-
-    One (d+2)-square weighted least-squares system with the lagged
-    observation and the mixing weight as regressors.
-    """
-    if stats.s_x is None:
-        raise ValueError("stats lack the AR blocks")
-    d = stats.s_y.shape[0]
-    m = np.zeros((d + 2, d + 2))
-    m[0, 0] = stats.s_inv_lambda
-    m[0, 1:d + 1] = stats.s_x_over_lambda
-    m[0, d + 1] = n
-    m[1:d + 1, 0] = stats.s_x_over_lambda
-    m[1:d + 1, 1:d + 1] = stats.s_xx_over_lambda
-    m[1:d + 1, d + 1] = stats.s_x
-    m[d + 1, 0] = n
-    m[d + 1, 1:d + 1] = stats.s_x
-    m[d + 1, d + 1] = stats.s_lambda
-    rhs = np.zeros((d + 2, d))
-    rhs[0] = stats.s_y_over_lambda
-    rhs[1:d + 1] = stats.s_xy_over_lambda
-    rhs[d + 1] = stats.s_y
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise np.linalg.LinAlgError(
-            f"AR update system is numerically singular (condition number {cond:.3e})")
-    sol = np.linalg.solve(m, rhs)
-    beta0 = sol[0]
-    beta1 = sol[1:d + 1].T
-    gamma = sol[d + 1]
-    return beta0, beta1, gamma
+# the former AR(1) step's name, until the benchmark's recorder
+# (perfbench/probe.py TRACED) is rebound: ROADMAP direction 8
+cm_step_ar = cm_step_location_skew
 
 
 def cm_step_scale(data: np.ndarray, params, refreshed_mix: MixingExpectations,
@@ -297,8 +291,9 @@ def _gamma_score(nu: float, n: int, s_lambda: float, s_log_lambda: float) -> flo
             + s_log_lambda - s_lambda)
 
 
-def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float):
-    """Safeguarded Newton-Raphson update of the shape parameter.
+def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
+    """Safeguarded Newton-Raphson update of the shape parameter from the
+    sums of E(lam) and E(log lam) over the rows of ``mix``.
 
     The score of the conditional gamma log-likelihood is strictly
     decreasing, so once a sign change brackets the root, Newton steps are
@@ -309,7 +304,8 @@ def cm_step_shape_mcecm(stats: SuffStats, n: int, nu_current: float):
     Returns ``(nu, at_bound)``; the bounds are :data:`NU_BOUNDS`.
     """
     lo, hi = NU_BOUNDS
-    args = (n, stats.s_lambda, stats.s_log_lambda)
+    n = mix.e_lambda.shape[0]
+    args = (n, float(_osum(mix.e_lambda)), float(_osum(mix.e_log_lambda)))
     g_lo = _gamma_score(lo, *args)
     g_hi = _gamma_score(hi, *args)
     if g_lo <= 0.0 or g_hi >= 0.0:
@@ -485,13 +481,10 @@ def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
     return _bounded_brent(negll, lo, hi, xatol=1e-10 * max(1.0, hi - lo))
 
 
-def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str,
+def _one_cycle(y, y_prev, r, params, geometry, guard, nu_step: str,
                line_search_mu: bool):
-    """One full ECM cycle from ``params`` and its ``geometry``; returns (new
-    params, their geometry, guarded count, nu flag)."""
-    n = y.shape[0]
-    ar = params.ar
-
+    """One full ECM cycle from ``params``, its ``geometry`` and the location's
+    regressors ``r``; returns (new params, their geometry, guarded count, nu flag)."""
     if line_search_mu:
         mu_star = _maximize_mu_univariate(y, params, guard)
         params = replace(params, mu=np.array([mu_star]))
@@ -500,19 +493,14 @@ def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str,
     # E-step 1 at the current iterate
     mix1 = posterior_lambda_moments(params, y, guard=guard, y_prev=y_prev,
                                     need_log=False, geometry=geometry)
-    stats1 = accumulate_suff_stats(y, mix1, ar_order=1 if ar else 0, y_prev=y_prev)
+    stats1 = accumulate_suff_stats(y, mix1, r)
 
-    # CM-step 1: location and skew
-    if ar:
-        beta0, beta1, gamma = cm_step_ar(stats1, n)
-        trial = replace(params, mu=beta0, beta1=beta1, gamma=gamma)
+    # CM-step 1: location and skew; the line search's location stays
+    if line_search_mu:
+        trial = replace(params, gamma=(stats1.s_y - len(y) * params.mu) / stats1.s_lambda)
     else:
-        if line_search_mu:
-            mu = params.mu
-            gamma = (stats1.s_y - n * mu) / stats1.s_lambda
-        else:
-            mu, gamma = cm_step_location_skew(stats1, n)
-        trial = replace(params, mu=mu, gamma=gamma)
+        coef, gamma = cm_step_location_skew(stats1)
+        trial = params.with_coefficients(coef, gamma=gamma)
 
     # extra E-step at the new location/skew, then the scale update
     mix34 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
@@ -526,8 +514,7 @@ def _one_cycle(y, y_prev, params, geometry, guard, nu_step: str,
         # E-step 2 at the updated location/scale/skew
         mix2 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
                                         geometry=geometry)
-        stats2 = accumulate_suff_stats(y, mix2, ar_order=0)
-        nu, nu_at_bound = cm_step_shape_mcecm(stats2, n, trial.nu)
+        nu, nu_at_bound = cm_step_shape_mcecm(mix2, trial.nu)
         guarded = int(mix2.guarded.sum())
     else:
         nu = cm_step_shape_ecme(y, trial, guard, y_prev=y_prev, geometry=geometry)
@@ -572,6 +559,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
         raise ValueError(f"initial parameters {'carry' if params.ar else 'lack'} "
                          f"the AR(1) lag matrix, but ar_order is {config.ar_order}")
     y, y_prev = params.modelled_rows(x_scaled)
+    r = params.regressors(y, y_prev)
 
     offset = n_eff * d * math.log(c)  # maps the scaled loglik to data scale
     algorithm = config.algorithm
@@ -615,7 +603,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     for t in range(1, config.max_iter + 1):
         prev_params, prev_geometry, prev_ll = params, geometry, ll_prev
         params, geometry, guarded, at_bound = _one_cycle(
-            y, y_prev, params, geometry, guard, nu_step, line_search_mu)
+            y, y_prev, r, params, geometry, guard, nu_step, line_search_mu)
         nu_hit_bound = nu_hit_bound or at_bound
         ll = observed_loglik(y, params, guard=guard, y_prev=y_prev,
                              geometry=geometry) + offset

@@ -119,9 +119,8 @@ def unflatten_params(theta: np.ndarray, template) -> MsvgParams:
     loc = theta[blocks["loc"]].reshape(d, -1, order="F")
     sigma = np.zeros((d, d))
     sigma[rows, cols] = sigma[cols, rows] = theta[blocks["sigma"]]
-    return MsvgParams(mu=loc[:, 0], sigma=sigma, gamma=theta[blocks["gamma"]],
-                      nu=theta[blocks["nu"]].item(),
-                      beta1=loc[:, 1:] if template.ar else None)
+    return template.with_coefficients(loc, sigma=sigma, gamma=theta[blocks["gamma"]],
+                                      nu=theta[blocks["nu"]].item())
 
 
 def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
@@ -175,8 +174,7 @@ def _design(params, data, y_prev):
     y = np.atleast_2d(np.asarray(data, dtype=float))
     x = None if y_prev is None else np.atleast_2d(np.asarray(y_prev, dtype=float))
     resid = y - params.location(x)
-    ones = np.ones((y.shape[0], 1))
-    r = np.hstack([ones, x]) if params.ar else ones
+    r = params.regressors(y, x)
     prec = np.linalg.inv(0.5 * (params.sigma + params.sigma.T))
     prec = 0.5 * (prec + prec.T)
     rows, cols = np.array(vech_indices(params.d)).T

@@ -173,22 +173,20 @@ def mixture_log_density_batch(mu, sigma, gamma, nu, ys,
     return out
 
 
-def naive_suff_stats(y, e_lam, e_inv, e_log, x=None):
-    """Plain-python re-summation of the sufficient statistics."""
+def naive_suff_stats(y, e_lam, e_inv, e_log, r=None):
+    """Plain-python re-summation of the sufficient statistics; ``r`` holds
+    the location's regressors (default: the intercept alone)."""
     n, d = y.shape
-    out = {
+    if r is None:
+        r = np.ones((n, 1))
+    return {
         "s_y": sum(y[i] for i in range(n)),
-        "s_y_over_lambda": sum(e_inv[i] * y[i] for i in range(n)),
+        "s_r": sum(r[i] for i in range(n)),
+        "s_rr_over_lambda": sum(e_inv[i] * np.outer(r[i], r[i]) for i in range(n)),
+        "s_ry_over_lambda": sum(e_inv[i] * np.outer(r[i], y[i]) for i in range(n)),
         "s_lambda": sum(float(e_lam[i]) for i in range(n)),
-        "s_inv_lambda": sum(float(e_inv[i]) for i in range(n)),
         "s_log_lambda": sum(float(e_log[i]) for i in range(n)),
     }
-    if x is not None:
-        out["s_x"] = sum(x[i] for i in range(n))
-        out["s_x_over_lambda"] = sum(e_inv[i] * x[i] for i in range(n))
-        out["s_xx_over_lambda"] = sum(e_inv[i] * np.outer(x[i], x[i]) for i in range(n))
-        out["s_xy_over_lambda"] = sum(e_inv[i] * np.outer(x[i], y[i]) for i in range(n))
-    return out
 
 
 def wls_location_skew(y, lam):

@@ -60,6 +60,17 @@ def write_json(path: Path, blob) -> Path:
     return path
 
 
+def write_ar_panel(path: Path, seed: int) -> Path:
+    """A 52-row d=5 AR(1) sample as a values CSV."""
+    params = MsvgParams(mu=np.zeros(5), beta1=0.2 * np.eye(5),
+                        sigma=0.3 * np.ones((5, 5)) + 0.7 * np.eye(5),
+                        gamma=[0.1, 0.2, 0.3, 0.4, 0.5], nu=2.5)
+    rows = sample(params, 52, seed=seed)
+    path.write_text("a,b,c,d,e\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    return path
+
+
 class TestFit:
     def test_exit_zero_and_files(self, fitted):
         ar, runs = fitted
@@ -130,13 +141,7 @@ class TestFit:
 
     def test_undefined_aicc_keeps_the_fit(self, tmp_path):
         # d=5 AR(1) on 52 rows: 51 modelled rows and k = 51 free parameters
-        params = MsvgParams(mu=np.zeros(5), beta1=0.2 * np.eye(5),
-                            sigma=0.3 * np.ones((5, 5)) + 0.7 * np.eye(5),
-                            gamma=[0.1, 0.2, 0.3, 0.4, 0.5], nu=2.5)
-        rows = sample(params, 52, seed=0)
-        data = tmp_path / "panel.csv"
-        data.write_text("a,b,c,d,e\n" + "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        data = write_ar_panel(tmp_path / "panel.csv", seed=0)
         prefix = tmp_path / "fit"
         code = run_cli("fit", "--data", data, "--values", "--ar", 1, "--out", prefix)
         assert code in (0, 1)
@@ -144,6 +149,16 @@ class TestFit:
         assert blob["aicc"] is None
         assert blob["k"] == blob["n_modelled"] == 51
         assert "AICc: n/a" in Path(f"{prefix}.txt").read_text()
+
+    def test_degenerate_ar_panel_is_a_numerical_failure(self, tmp_path, capsys):
+        # seed 3 of the same panel collapses a row onto the location
+        data = write_ar_panel(tmp_path / "panel.csv", seed=3)
+        prefix = tmp_path / "fit"
+        code = run_cli("fit", "--data", data, "--values", "--ar", 1, "--out", prefix)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: location system")
+        assert not Path(f"{prefix}.json").exists()
 
     def test_information_null_when_it_cannot_be_formed(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -271,6 +286,16 @@ class TestGrid:
         assert "d = 3" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_indefinite_sigma_is_a_schema_error(self, tmp_path, capsys):
+        bare = write_json(tmp_path / "p.json", {"mu": [0.0, 0.0], "gamma": [0.0, 0.0],
+                                                "sigma": [[1.0, 2.0], [2.0, 1.0]], "nu": 2.0})
+        code = run_cli("grid", "--params", bare, "--xlim=-1,1", "--ylim=-1,1",
+                       "--res", 2, "--out", tmp_path / "g.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: parameter block's sigma is not positive definite\n")
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("top", ["params", 5, None], ids=["string", "number", "null"])
     def test_top_level_not_an_object(self, tmp_path, capsys, top):
         bare = write_json(tmp_path / "p.json", top)
@@ -354,12 +379,14 @@ class TestSimulate:
                          "beta0": [0.0, 0.0], "beta1": [[0.3, 0.0], [0.0, 0.3]]},
          "ar_order is 0, but the true parameters carry"),
         ("fit", {"ar_order": True}, "ar_order must be the integer 0 or 1"),
+        ("true_params", {**TINY_SPEC["true_params"], "sigma": [[1.0, 2.0], [2.0, 1.0]]},
+         "sigma is not positive definite"),
     ], ids=["algorithms-empty", "algorithms-string", "algorithms-duplicate",
             "delta-number", "delta-string", "gamma-number", "gamma-length",
             "seed-string", "delta-inf", "nu_bounds-number", "delta_cap-negative",
             "scale_c-inf", "tol-string", "max_iter-float",
             "unknown-key", "unknown-fit-key", "n-10d", "ar_order-plain-params",
-            "ar-params-no-ar_order", "ar_order-bool"])
+            "ar-params-no-ar_order", "ar_order-bool", "sigma-indefinite"])
     def test_schema_error_exits_two(self, tmp_path, capsys, field, value, message):
         spec = write_json(tmp_path / "spec.json", {**TINY_SPEC, field: value})
         assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2

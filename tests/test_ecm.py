@@ -25,7 +25,6 @@ from msvg.ecm import (
     _bounded_brent,
     _osum,
     accumulate_suff_stats,
-    cm_step_ar,
     cm_step_location_skew,
     cm_step_scale,
     cm_step_shape_ecme,
@@ -99,22 +98,28 @@ class TestInitialParams:
             initial_params(np.zeros((3, 3)) + np.eye(3))
 
 
+def lagged(x):
+    """The AR(1) location's regressors (1, y_{i-1}) of a lagged block."""
+    return np.column_stack([np.ones(len(x)), x])
+
+
 class TestSuffStats:
     def test_unit_weights(self):
         y = np.arange(12.0).reshape(6, 2)
         stats = accumulate_suff_stats(y, make_mix(y, 1.0, 1.0, 0.0))
         assert stats.s_lambda == 6.0
-        assert stats.s_inv_lambda == 6.0
-        np.testing.assert_array_equal(stats.s_y_over_lambda, stats.s_y)
+        assert stats.s_rr_over_lambda[0, 0] == 6.0
+        np.testing.assert_array_equal(stats.s_r, [6.0])
+        np.testing.assert_array_equal(stats.s_ry_over_lambda[0], stats.s_y)
 
     def test_two_row_toy(self):
         y = np.array([[1.0], [3.0]])
         stats = accumulate_suff_stats(y, make_mix(y, [1.0, 2.0], [1.0, 0.5],
                                                   [0.0, math.log(2.0)]))
         assert stats.s_y[0] == 4.0
-        assert stats.s_y_over_lambda[0] == 1.0 + 1.5
+        assert stats.s_ry_over_lambda[0, 0] == 1.0 + 1.5
         assert stats.s_lambda == 3.0
-        assert stats.s_inv_lambda == 1.5
+        assert stats.s_rr_over_lambda[0, 0] == 1.5
         assert stats.s_log_lambda == pytest.approx(math.log(2.0))
 
     def test_matches_naive_resummation(self):
@@ -124,9 +129,9 @@ class TestSuffStats:
         e_lam = rng.uniform(0.2, 3.0, size=37)
         e_inv = 1.0 / e_lam + rng.uniform(0.0, 1.0, size=37)
         e_log = rng.normal(size=37)
-        stats = accumulate_suff_stats(y, make_mix(y, e_lam, e_inv, e_log),
-                                      ar_order=1, y_prev=x)
-        ref = naive_suff_stats(y, e_lam, e_inv, e_log, x=x)
+        stats = accumulate_suff_stats(y, make_mix(y, e_lam, e_inv, e_log), lagged(x))
+        ref = naive_suff_stats(y, e_lam, e_inv, e_log, r=lagged(x))
+        assert set(ref) == {f.name for f in dataclasses.fields(SuffStats)}
         for name, val in ref.items():
             np.testing.assert_allclose(getattr(stats, name), val, rtol=1e-12)
 
@@ -137,8 +142,9 @@ class TestLocationSkewStep:
         y = np.array([[0.0], [2.0]])
         mix = make_mix(y, [1.0, 4.0], [1.0, 0.25])
         stats = accumulate_suff_stats(y, mix)
-        mu, gamma = cm_step_location_skew(stats, 2)
-        assert mu[0] == pytest.approx(-2.0 / 3.0, rel=1e-14)
+        coef, gamma = cm_step_location_skew(stats)
+        assert coef.shape == (1, 1)
+        assert coef[0, 0] == pytest.approx(-2.0 / 3.0, rel=1e-14)
         assert gamma[0] == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_matches_wls_oracle(self):
@@ -148,19 +154,41 @@ class TestLocationSkewStep:
         y = rng.normal(size=(n, d)) + np.outer(lam, [0.3, -0.7])
         mix = make_mix(y, lam, 1.0 / lam)
         stats = accumulate_suff_stats(y, mix)
-        mu, gamma = cm_step_location_skew(stats, n)
+        coef, gamma = cm_step_location_skew(stats)
         mu_ref, gamma_ref = wls_location_skew(y, lam)
-        np.testing.assert_allclose(mu, mu_ref, rtol=1e-10)
+        np.testing.assert_allclose(coef[:, 0], mu_ref, rtol=1e-10)
         np.testing.assert_allclose(gamma, gamma_ref, rtol=1e-10)
+
+    def test_plain_step_is_the_closed_form(self):
+        # for r = (1) the step is the 2x2 closed form bit for bit, so that
+        # plain-model fits do not move by round-off
+        rng = np.random.default_rng(17)
+        n, d = 57, 3
+        lam = rng.uniform(0.3, 3.0, size=n)
+        y = rng.normal(size=(n, d)) + np.outer(lam, [0.2, -0.1, 0.4])
+        stats = accumulate_suff_stats(y, make_mix(y, lam, 1.0 / lam + 0.1))
+        coef, gamma = cm_step_location_skew(stats)
+        s_inv, s_yw = stats.s_rr_over_lambda[0, 0], stats.s_ry_over_lambda[0]
+        mu = (s_yw * stats.s_lambda - n * stats.s_y) / (s_inv * stats.s_lambda - float(n) ** 2)
+        np.testing.assert_array_equal(coef[:, 0], mu)
+        np.testing.assert_array_equal(gamma, (stats.s_y - n * mu) / stats.s_lambda)
 
     def test_equal_weights_degenerate(self):
         # the system is 0/0; its limit is the weighted mean and zero skew
         y = np.column_stack([np.arange(10.0), np.arange(10.0) ** 2])
         stats = accumulate_suff_stats(y, make_mix(y, 2.0, 0.5))
-        mu, gamma = cm_step_location_skew(stats, 10)
-        np.testing.assert_array_equal(mu, stats.s_y_over_lambda / stats.s_inv_lambda)
+        coef, gamma = cm_step_location_skew(stats)
+        mu = coef[:, 0]
+        np.testing.assert_array_equal(
+            mu, stats.s_ry_over_lambda[0] / stats.s_rr_over_lambda[0, 0])
         np.testing.assert_allclose(mu, y.mean(axis=0), rtol=1e-15)
         np.testing.assert_array_equal(gamma, np.zeros(2))
+
+    def test_nonfinite_system_raises(self):
+        y = np.array([[0.0], [2.0], [1.0]])
+        stats = accumulate_suff_stats(y, make_mix(y, [1.0, 4.0, 2.0], [1.0, np.inf, 0.5]))
+        with pytest.raises(np.linalg.LinAlgError, match="location system is not finite"):
+            cm_step_location_skew(stats)
 
 
 class TestArStep:
@@ -171,16 +199,15 @@ class TestArStep:
         y = np.array([[1.0], [2.0], [0.0]])
         x = np.array([[0.5], [-1.0], [2.0]])
         lam = np.array([1.0, 2.0, 1.0])
-        stats = accumulate_suff_stats(y, make_mix(y, lam, 1.0 / lam),
-                                      ar_order=1, y_prev=x)
+        stats = accumulate_suff_stats(y, make_mix(y, lam, 1.0 / lam), lagged(x))
         m = np.array([[2.5, 2.0, 3.0],
                       [2.0, 4.75, 1.5],
                       [3.0, 1.5, 4.0]])
         rhs = np.array([2.0, -0.5, 3.0])
         ref = np.linalg.solve(m, rhs)
-        beta0, beta1, gamma = cm_step_ar(stats, 3)
-        assert beta0[0] == pytest.approx(ref[0], rel=1e-12)
-        assert beta1[0, 0] == pytest.approx(ref[1], rel=1e-12)
+        coef, gamma = cm_step_location_skew(stats)
+        assert coef[0, 0] == pytest.approx(ref[0], rel=1e-12)
+        assert coef[0, 1] == pytest.approx(ref[1], rel=1e-12)
         assert gamma[0] == pytest.approx(ref[2], rel=1e-12)
 
     def test_matches_generic_wls(self):
@@ -189,36 +216,49 @@ class TestArStep:
         lam = rng.uniform(0.3, 3.0, size=n)
         x = rng.normal(size=(n, d))
         y = rng.normal(size=(n, d)) + 0.5 * x + np.outer(lam, [0.2, 0.0, -0.4])
-        stats = accumulate_suff_stats(y, make_mix(y, lam, 1.0 / lam),
-                                      ar_order=1, y_prev=x)
-        beta0, beta1, gamma = cm_step_ar(stats, n)
+        stats = accumulate_suff_stats(y, make_mix(y, lam, 1.0 / lam), lagged(x))
+        coef, gamma = cm_step_location_skew(stats)
         b0_ref, b1_ref, g_ref = wls_ar(y, x, lam)
-        np.testing.assert_allclose(beta0, b0_ref, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(beta1, b1_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(coef[:, 0], b0_ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(coef[:, 1:], b1_ref, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(gamma, g_ref, rtol=1e-10, atol=1e-12)
 
     def test_lag_free_data_agrees_with_plain_step(self):
+        # the step on r = (1, x) and on r = (1) of data with no lag effect
         rng = np.random.default_rng(11)
         n, d = 4000, 2
         lam = rng.uniform(0.3, 3.0, size=n)
         x = rng.normal(size=(n, d))
         y = rng.normal(size=(n, d)) + np.outer(lam, [0.5, -0.1]) + 0.7
-        stats = accumulate_suff_stats(y, make_mix(y, lam, 1.0 / lam),
-                                      ar_order=1, y_prev=x)
-        beta0, beta1, gamma = cm_step_ar(stats, n)
-        mu_ref, gamma_ref = cm_step_location_skew(stats, n)
-        assert np.max(np.abs(beta1)) < 0.05
-        np.testing.assert_allclose(beta0, mu_ref, atol=0.05)
+        mix = make_mix(y, lam, 1.0 / lam)
+        coef, gamma = cm_step_location_skew(accumulate_suff_stats(y, mix, lagged(x)))
+        coef_ref, gamma_ref = cm_step_location_skew(accumulate_suff_stats(y, mix))
+        assert coef.shape == (d, 1 + d) and coef_ref.shape == (d, 1)
+        assert np.max(np.abs(coef[:, 1:])) < 0.05
+        np.testing.assert_allclose(coef[:, 0], coef_ref[:, 0], atol=0.05)
         np.testing.assert_allclose(gamma, gamma_ref, atol=0.05)
+
+    def test_equal_weights_limit(self):
+        # equal weights make lam a multiple of the intercept: the limit is
+        # zero skew and the least squares of y on (1, y_prev)
+        rng = np.random.default_rng(5)
+        n, d = 30, 2
+        x = rng.normal(size=(n, d))
+        y = rng.normal(size=(n, d)) + 0.4 * x
+        stats = accumulate_suff_stats(y, make_mix(y, 2.0, 0.5), lagged(x))
+        coef, gamma = cm_step_location_skew(stats)
+        ref = np.linalg.lstsq(lagged(x), y, rcond=None)[0]
+        np.testing.assert_allclose(coef, ref.T, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(gamma, np.zeros(d))
 
     def test_singular_system(self):
         y = np.array([[1.0], [2.0], [3.0]])
         x = np.zeros((3, 1))
         lam = np.ones(3)
-        stats = accumulate_suff_stats(y, make_mix(y, lam, lam),
-                                      ar_order=1, y_prev=x)
-        with pytest.raises(np.linalg.LinAlgError, match="condition"):
-            cm_step_ar(stats, 3)
+        stats = accumulate_suff_stats(y, make_mix(y, lam, lam), lagged(x))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="location system is singular: the regressors are collinear"):
+            cm_step_location_skew(stats)
 
 
 class TestScaleStep:
@@ -280,10 +320,8 @@ class TestShapeSteps:
         # population gamma moments: S_lam = n, S_loglam = n (psi(nu0) - ln nu0)
         nu0 = 1.7
         n = 100
-        stats = SuffStats(s_y=np.zeros(1), s_y_over_lambda=np.zeros(1),
-                          s_lambda=float(n), s_inv_lambda=float(n),
-                          s_log_lambda=n * (float(digamma(nu0)) - math.log(nu0)))
-        nu, at_bound = cm_step_shape_mcecm(stats, n, nu_current=1.0)
+        mix = make_mix(np.zeros((n, 1)), 1.0, 1.0, float(digamma(nu0)) - math.log(nu0))
+        nu, at_bound = cm_step_shape_mcecm(mix, nu_current=1.0)
         assert not at_bound
         assert nu == pytest.approx(nu0, rel=1e-9)
 
@@ -300,10 +338,8 @@ class TestShapeSteps:
     def test_extreme_log_stat_hits_lower_bound(self):
         # a guarded weight near zero drives S_loglam to a huge negative value
         n = 100
-        stats = SuffStats(s_y=np.zeros(1), s_y_over_lambda=np.zeros(1),
-                          s_lambda=float(n), s_inv_lambda=float(n),
-                          s_log_lambda=-1e8)
-        nu, at_bound = cm_step_shape_mcecm(stats, n, nu_current=1.0)
+        mix = make_mix(np.zeros((n, 1)), 1.0, 1.0, -1e8 / n)
+        nu, at_bound = cm_step_shape_mcecm(mix, nu_current=1.0)
         assert at_bound
         assert nu == 1e-4
 
@@ -608,6 +644,16 @@ class TestFit:
         np.testing.assert_allclose(rep.params.beta1, true.beta1, atol=0.12)
         np.testing.assert_allclose(rep.params.sigma, true.sigma, atol=0.15)
 
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_degenerate_ar_panel_names_the_location_system(self, seed):
+        # 52-row d=5 AR(1) panels on which a row collapses onto the location
+        params = MsvgParams(mu=np.zeros(5), beta1=0.2 * np.eye(5),
+                            sigma=0.7 * np.eye(5) + 0.3, gamma=np.linspace(0.1, 0.5, 5),
+                            nu=2.5)
+        data = sample(params, 52, seed=seed)
+        with pytest.raises(np.linalg.LinAlgError, match="location system"):
+            fit(data, FitConfig(ar_order=1))
+
     def test_univariate_hecm_line_search(self):
         true = MsvgParams(mu=[0.0], sigma=[[1.0]], gamma=[0.2], nu=1.0)
         data = sample(true, 1500, seed=16)
@@ -750,7 +796,8 @@ class TestCompleteDataConsistency:
         lam = rng.uniform(0.4, 2.5, size=n)
         mix = make_mix(y, lam, 1.0 / lam, np.log(lam))
         stats = accumulate_suff_stats(y, mix)
-        mu, gamma = cm_step_location_skew(stats, n)
+        coef, gamma = cm_step_location_skew(stats)
+        mu = coef[:, 0]
         mix2 = make_mix(y, lam, 1.0 / lam, np.log(lam), point=at(mu, gamma))
         sigma = cm_step_scale(y, at(mu, gamma), mix2)
         params = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=1.0)

@@ -191,11 +191,12 @@ class TestCompleteScore:
                                       e_log_lambda=np.log(lam),
                                       guarded=np.zeros(n, dtype=bool))
         stats = msvg.accumulate_suff_stats(y, mix)
-        mu, gamma = msvg.cm_step_location_skew(stats, n)
+        coef, gamma = msvg.cm_step_location_skew(stats)
+        mu = coef[:, 0]
         point = MsvgParams(mu=mu, sigma=np.eye(d), gamma=gamma, nu=1.0)
         mix.tag = Geometry.of(point, y).tag
         sigma = msvg.cm_step_scale(y, point, mix)
-        nu, _ = msvg.cm_step_shape_mcecm(stats, n, 1.0)
+        nu, _ = msvg.cm_step_shape_mcecm(mix, 1.0)
         p = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=nu)
         score = complete_score(p, y, lam)
         assert np.max(np.abs(score)) < 1e-9 * n
