@@ -182,6 +182,13 @@ class MsvgParams:
         return params
 
 
+def _canonical_rows(y, y_prev=None):
+    """``(y, y_prev, order)``: the rows (AR(1): the pairs (y_i, y_{i-1})) put
+    in lexicographic ``order``, the same bits for any permutation of them."""
+    order = np.lexsort((y if y_prev is None else np.hstack([y, y_prev])).T[::-1])
+    return y[order], None if y_prev is None else np.asarray(y_prev)[order], order
+
+
 @dataclass(frozen=True)
 class CenterGuard:
     """Threshold of the delta region: observations with delta*psi below it are capped."""

@@ -45,7 +45,10 @@ it, and every consumer of a handed geometry checks it, as does
 Data are pre-multiplied by a constant (default 100) before fitting and the
 estimates mapped back afterwards; the family is closed under scaling, and
 working on the scaled data improves the conditioning of the updates for
-daily-return-sized inputs.
+daily-return-sized inputs.  :func:`fit` then sorts the modelled rows (AR(1):
+the pairs (y_i, y_{i-1})) once; every sum over rows after that is a plain
+``np.add.reduce`` in the order given, so a plain fit is the same bits under
+any permutation of its rows.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .distribution import (
     Geometry,
     MixingExpectations,
     MsvgParams,
+    _canonical_rows,
     check_tag,
     log_density,
     posterior_lambda_moments,
@@ -79,19 +83,6 @@ NU_BOUNDS = (1e-4, 200.0)
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _osum(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Order-canonical reduction over observations.
-
-    Summands are sorted before reduction, so the result is bit-identical
-    under any permutation of the observation axis; every estimate the
-    fitting loop reports is therefore independent of row order.  (What
-    np.sort and np.sum do, without their wrappers.)
-    """
-    a = a.copy(order="K")
-    a.sort(axis=axis)
-    return np.add.reduce(a, axis=axis)
 
 
 @dataclass
@@ -170,9 +161,9 @@ def initial_params(data: np.ndarray, ar_order: int = 0):
     n, d = data.shape
     if n <= d + 1:
         raise ValueError(f"need more than d + 1 = {d + 1} observations, got {n}")
-    mean = _osum(data) / n
+    mean = np.add.reduce(data) / n
     centered = data - mean
-    cov = _osum(centered[:, :, None] * centered[:, None, :]) / (n - 1)
+    cov = np.add.reduce(centered[:, :, None] * centered[:, None, :]) / (n - 1)
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -185,18 +176,18 @@ def initial_params(data: np.ndarray, ar_order: int = 0):
 
 def accumulate_suff_stats(data: np.ndarray, mix: MixingExpectations,
                           r: np.ndarray | None = None) -> SuffStats:
-    """Sums of the complete-data sufficient statistics, in fixed row order;
-    ``r`` (n, k) holds the location's regressors, by default the intercept."""
+    """Sums of the complete-data sufficient statistics over the rows, in the
+    order given; ``r`` (n, k) holds the location's regressors (default: 1)."""
     y = np.atleast_2d(np.asarray(data, dtype=float))
     r = np.ones((len(y), 1)) if r is None else r
     w = mix.e_inv_lambda[:, None, None] * r[:, :, None]
     return SuffStats(
-        s_y=_osum(y),
-        s_r=_osum(r),
-        s_rr_over_lambda=_osum(w * r[:, None, :]),
-        s_ry_over_lambda=_osum(w * y[:, None, :]),
-        s_lambda=float(_osum(mix.e_lambda)),
-        s_log_lambda=(float(_osum(mix.e_log_lambda))
+        s_y=np.add.reduce(y),
+        s_r=np.add.reduce(r),
+        s_rr_over_lambda=np.add.reduce(w * r[:, None, :]),
+        s_ry_over_lambda=np.add.reduce(w * y[:, None, :]),
+        s_lambda=float(np.add.reduce(mix.e_lambda)),
+        s_log_lambda=(float(np.add.reduce(mix.e_log_lambda))
                       if mix.e_log_lambda is not None else math.nan),
     )
 
@@ -256,17 +247,17 @@ cm_step_ar = cm_step_location_skew
 
 def cm_step_scale(data: np.ndarray, params, refreshed_mix: MixingExpectations,
                   y_prev: np.ndarray | None = None) -> np.ndarray:
-    """Scale-matrix update from mixing expectations refreshed at ``params``,
-    the point of the extra E-step (new location and skew, old scale);
-    expectations computed at any other point are rejected outright.
+    """Scale-matrix update (rows summed in the order given) from mixing
+    expectations refreshed at ``params``, the point of the extra E-step (new
+    location and skew, old scale); those of any other point are rejected.
     """
     y = np.atleast_2d(np.asarray(data, dtype=float))
     check_tag(refreshed_mix.tag, params, y, "mixing expectations are")
     n = len(y)
     resid = y - params.location(y_prev)
     w = refreshed_mix.e_inv_lambda
-    sigma = _osum(w[:, None, None] * (resid[:, :, None] * resid[:, None, :])) / n \
-        - np.outer(params.gamma, params.gamma) * (float(_osum(refreshed_mix.e_lambda)) / n)
+    sigma = np.add.reduce(w[:, None, None] * (resid[:, :, None] * resid[:, None, :])) / n \
+        - np.outer(params.gamma, params.gamma) * (float(np.add.reduce(refreshed_mix.e_lambda)) / n)
     if not np.logical_and.reduce(np.isfinite(sigma), axis=None):
         raise ValueError("scale update produced non-finite entries")
     sigma = 0.5 * (sigma + sigma.T)
@@ -293,7 +284,7 @@ def _gamma_score(nu: float, n: int, s_lambda: float, s_log_lambda: float) -> flo
 
 def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
     """Safeguarded Newton-Raphson update of the shape parameter from the
-    sums of E(lam) and E(log lam) over the rows of ``mix``.
+    sums of E(lam) and E(log lam) over the rows of ``mix``, in their order.
 
     The score of the conditional gamma log-likelihood is strictly
     decreasing, so once a sign change brackets the root, Newton steps are
@@ -305,7 +296,7 @@ def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
     """
     lo, hi = NU_BOUNDS
     n = mix.e_lambda.shape[0]
-    args = (n, float(_osum(mix.e_lambda)), float(_osum(mix.e_log_lambda)))
+    args = (n, float(np.add.reduce(mix.e_lambda)), float(np.add.reduce(mix.e_log_lambda)))
     g_lo = _gamma_score(lo, *args)
     g_hi = _gamma_score(hi, *args)
     if g_lo <= 0.0 or g_hi >= 0.0:
@@ -427,12 +418,12 @@ def cm_step_shape_ecme(data: np.ndarray, params, guard: CenterGuard,
 
     Only the shape varies, so Sigma is factorised and the residuals are
     whitened once (or not at all when ``geometry`` is handed in); each
-    trial costs one Bessel evaluation.
+    trial costs one Bessel evaluation and sums the rows in the order given.
     """
     geometry = Geometry.at(params, data, y_prev, geometry)
 
     def negll(nu: float) -> float:
-        return -float(_osum(geometry.log_density(float(nu), guard)))
+        return -float(np.add.reduce(geometry.log_density(float(nu), guard)))
 
     lo_bound, hi_bound = NU_BOUNDS
     start = min(max(params.nu, lo_bound), hi_bound)
@@ -448,7 +439,7 @@ def cm_step_shape_ecme(data: np.ndarray, params, guard: CenterGuard,
 def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,
                     y_prev: np.ndarray | None = None, *,
                     geometry: Geometry | None = None) -> float:
-    """Sum of capped log densities.
+    """Sum of capped log densities, over the rows in the order given.
 
     For AR parameters with no explicit lagged block, the first row of
     ``data`` is the conditioning state: it enters only as a regressor and
@@ -456,7 +447,7 @@ def observed_loglik(data: np.ndarray, params, guard: CenterGuard | None = None,
     """
     y, y_prev = params.modelled_rows(data, y_prev)
     geometry = Geometry.at(params, y, y_prev, geometry)
-    return float(_osum(geometry.log_density(params.nu, guard)))
+    return float(np.add.reduce(geometry.log_density(params.nu, guard)))
 
 
 def _scale_params(params: MsvgParams, c: float) -> MsvgParams:
@@ -476,7 +467,7 @@ def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
 
     def negll(mu: float) -> float:
         trial = replace(params, mu=np.array([mu]))
-        return -float(_osum(log_density(trial, y, guard=guard)))
+        return -float(np.add.reduce(log_density(trial, y, guard=guard)))
 
     return _bounded_brent(negll, lo, hi, xatol=1e-10 * max(1.0, hi - lo))
 
@@ -529,7 +520,9 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     The input is pre-multiplied by ``config.scale_c``; estimates and the
     log-likelihood trace are reported back in the original data scale.  For
     ``ar_order=1`` the first row of ``data`` conditions the fit and the
-    remaining rows are modelled.
+    remaining rows are modelled.  The modelled rows are sorted first; the
+    AR(1) start values read the series in time order.  A log-likelihood that
+    is not finite raises ``FloatingPointError``.
     """
     t0 = time.perf_counter()
     data = np.asarray(data, dtype=float)
@@ -549,16 +542,17 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
 
     c = float(config.scale_c)
     x_scaled = data * c
+    y, y_prev, _ = (_canonical_rows(x_scaled[1:], x_scaled[:-1]) if ar
+                    else _canonical_rows(x_scaled))
     guard = (CenterGuard(config.delta_cap) if config.delta_cap is not None
              else CenterGuard.default_for_dim(d))
     params = (_scale_params(config.init, c) if config.init is not None
-              else initial_params(x_scaled, ar_order=config.ar_order))
+              else initial_params(x_scaled if ar else y, ar_order=config.ar_order))
     if params.d != d:
         raise ValueError("initial parameters do not match the data dimension")
     if params.ar != ar:
         raise ValueError(f"initial parameters {'carry' if params.ar else 'lack'} "
                          f"the AR(1) lag matrix, but ar_order is {config.ar_order}")
-    y, y_prev = params.modelled_rows(x_scaled)
     r = params.regressors(y, y_prev)
 
     offset = n_eff * d * math.log(c)  # maps the scaled loglik to data scale
@@ -568,9 +562,15 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     # the first stage of this HECM fit is the MCECM fit
     keep_stage = algorithm == "hecm" and not line_search_mu
 
+    def loglik(t: int) -> float:  # l at the current iterate, after cycle t
+        ll = observed_loglik(y, params, guard=guard, y_prev=y_prev, geometry=geometry) + offset
+        if math.isfinite(ll):
+            return ll
+        raise FloatingPointError(
+            f"log-likelihood is not finite at cycle {t} (nu = {params.nu:.6g})")
+
     geometry = Geometry.of(params, y, y_prev)
-    ll_prev = observed_loglik(y, params, guard=guard, y_prev=y_prev,
-                              geometry=geometry) + offset
+    ll_prev = loglik(0)
     trace = [ll_prev]
     guarded_trace = []
     switch_iter = None
@@ -605,8 +605,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
         params, geometry, guarded, at_bound = _one_cycle(
             y, y_prev, r, params, geometry, guard, nu_step, line_search_mu)
         nu_hit_bound = nu_hit_bound or at_bound
-        ll = observed_loglik(y, params, guard=guard, y_prev=y_prev,
-                             geometry=geometry) + offset
+        ll = loglik(t)
         trace.append(ll)
         guarded_trace.append(guarded)
         conv_iter = t

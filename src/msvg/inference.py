@@ -24,7 +24,9 @@ off-diagonal scale entries carry the usual factor-two adjustment for the
 symmetric parameterisation.
 
 One rule makes the information exactly symmetric: :func:`observed_info`
-mirrors its upper triangle down; the Hessian fills no block below it.
+mirrors its upper triangle down; the Hessian fills no block below it.  One
+rule fixes the row order: :func:`observed_info` sorts the rows where it
+starts, as :func:`msvg.ecm.fit` does, so a permutation gives the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import CenterGuard, Geometry, MsvgParams, _gig_first_moments
+from .distribution import CenterGuard, Geometry, MsvgParams, _canonical_rows, _gig_first_moments
 from .specfun import (
     bessel_k_order_derivative_over_k,
     digamma,
@@ -264,8 +266,9 @@ def observed_info(params, data, y_prev=None,
 
     For AR parameters without an explicit lagged block, the first row of
     ``data`` conditions the fit, matching :func:`msvg.ecm.observed_loglik`.
+    The modelled rows are sorted first; an error names a row as given.
     """
-    y, y_prev = params.modelled_rows(data, y_prev)
+    y, y_prev, order = _canonical_rows(*params.modelled_rows(data, y_prev))
     # Sigma is factorised once for the eight moments
     geometry = Geometry.of(params, y, y_prev)
 
@@ -277,7 +280,7 @@ def observed_info(params, data, y_prev=None,
         if bad.size:
             raise ValueError(
                 f"conditional expectation E(lam^{k}, {kind}) is non-finite "
-                f"at observation {int(bad[0])}")
+                f"at observation {int(order[bad].min())}")
         return vals
 
     m1 = moment(1.0, "plain")

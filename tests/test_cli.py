@@ -60,15 +60,19 @@ def write_json(path: Path, blob) -> Path:
     return path
 
 
+def write_values(path: Path, rows) -> Path:
+    """``rows`` as a values CSV with one named column per dimension."""
+    path.write_text(",".join("abcde"[:rows.shape[1]]) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    return path
+
+
 def write_ar_panel(path: Path, seed: int) -> Path:
     """A 52-row d=5 AR(1) sample as a values CSV."""
     params = MsvgParams(mu=np.zeros(5), beta1=0.2 * np.eye(5),
                         sigma=0.3 * np.ones((5, 5)) + 0.7 * np.eye(5),
                         gamma=[0.1, 0.2, 0.3, 0.4, 0.5], nu=2.5)
-    rows = sample(params, 52, seed=seed)
-    path.write_text("a,b,c,d,e\n" + "".join(
-        ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
-    return path
+    return write_values(path, sample(params, 52, seed=seed))
 
 
 class TestFit:
@@ -151,14 +155,31 @@ class TestFit:
         assert "AICc: n/a" in Path(f"{prefix}.txt").read_text()
 
     def test_degenerate_ar_panel_is_a_numerical_failure(self, tmp_path, capsys):
-        # seed 3 of the same panel collapses a row onto the location
+        # seed 3 of the same panel collapses a row onto the location, and the
+        # log-likelihood turns NaN
         data = write_ar_panel(tmp_path / "panel.csv", seed=3)
         prefix = tmp_path / "fit"
         code = run_cli("fit", "--data", data, "--values", "--ar", 1, "--out", prefix)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: location system")
+        assert err.startswith("numerical failure: log-likelihood is not finite at cycle")
         assert not Path(f"{prefix}.json").exists()
+
+    def test_reversed_rows_write_the_same_files(self, tmp_path):
+        # the estimates and the information both sum the rows in one
+        # canonical order, so the report is the same bytes for any row order
+        params = MsvgParams(mu=[0.1, -0.1, 0.0], sigma=0.6 * np.eye(3) + 0.4,
+                            gamma=[0.3, -0.2, 0.1], nu=2.5)
+        rows = sample(params, 400, seed=4)
+        files = []
+        for name, block in (("forwards", rows), ("reversed", rows[::-1])):
+            data = write_values(tmp_path / f"{name}.csv", block)
+            prefix = tmp_path / name / "fit"
+            prefix.parent.mkdir()
+            assert run_cli("fit", "--data", data, "--values", "--out", prefix) == 0
+            files.append(fit_files(prefix))
+        assert set(files[0]) == {".json", ".txt"}
+        assert files[0] == files[1]
 
     def test_information_null_when_it_cannot_be_formed(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -20,10 +20,10 @@ from msvg.distribution import (
     sample,
 )
 from msvg.ecm import (
+    ALGORITHMS,
     FitConfig,
     SuffStats,
     _bounded_brent,
-    _osum,
     accumulate_suff_stats,
     cm_step_location_skew,
     cm_step_scale,
@@ -33,6 +33,7 @@ from msvg.ecm import (
     initial_params,
     observed_loglik,
 )
+from msvg.inference import flatten_params
 from msvg.specfun import digamma, trigamma
 
 from oracles import (
@@ -371,11 +372,11 @@ class TestShapeSteps:
         y, y_prev, start, guard = shape_step_case(ar)
 
         # the bounded search written out with one full density per trial,
-        # summed in the shape step's order-canonical way, over the warm
+        # summed as the shape step sums, in row order, over the warm
         # bracket sequence: [nu/2, 2 nu] around the start nu=4, whose
         # optimum sits on the inner edge 2, then that bracket widened by 4
         def negll(v):
-            return -float(_osum(msvg.log_density(replace(start, nu=v), y, guard, y_prev)))
+            return -float(np.add.reduce(msvg.log_density(replace(start, nu=v), y, guard, y_prev)))
 
         first, widened = (optimize.minimize_scalar(negll, bounds=b, method="bounded",
                                                    options={"xatol": 1e-6}).x
@@ -395,7 +396,7 @@ class TestShapeSteps:
         geometry = Geometry.of(start, y, y_prev)
 
         def loglik(v):
-            return float(_osum(geometry.log_density(v, guard)))
+            return float(np.add.reduce(geometry.log_density(v, guard)))
 
         cold = _bounded_brent(lambda v: -loglik(v), 1e-4, 200.0, xatol=1e-6)
         warm = cm_step_shape_ecme(y, start, guard, y_prev=y_prev,
@@ -418,7 +419,7 @@ class TestShapeSteps:
         monkeypatch.setattr(Geometry, "log_density", counted)
         warm = cm_step_shape_ecme(y, rep.params, guard, geometry=geometry)
         n_warm = len(calls)
-        cold = _bounded_brent(lambda v: -float(_osum(geometry.log_density(v, guard))),
+        cold = _bounded_brent(lambda v: -float(np.add.reduce(geometry.log_density(v, guard))),
                               1e-4, 200.0, xatol=1e-6)
         assert n_warm < len(calls) - n_warm
         assert warm == pytest.approx(cold, abs=1e-5)
@@ -613,17 +614,16 @@ class TestFit:
         assert fit(data, FitConfig(algorithm="mcecm")).switch_iter is None
 
     def test_permutation_invariance(self):
-        # order-canonical reductions make the whole trajectory independent
-        # of row order, so estimates agree far inside the 1e-10 bound
+        # fit sorts the rows before anything is summed, so every algorithm's
+        # whole trajectory is the same bits under any row order
         data = sample(BASE, 400, seed=6)
-        cfg = FitConfig(algorithm="mcecm")
-        rep1 = fit(data, cfg)
-        rng = np.random.default_rng(0)
-        rep2 = fit(data[rng.permutation(400)], cfg)
-        np.testing.assert_allclose(rep1.params.mu, rep2.params.mu, atol=1e-10)
-        np.testing.assert_allclose(rep1.params.sigma, rep2.params.sigma, atol=1e-10)
-        np.testing.assert_allclose(rep1.params.gamma, rep2.params.gamma, atol=1e-10)
-        assert rep1.params.nu == pytest.approx(rep2.params.nu, abs=1e-10)
+        shuffled = data[np.random.default_rng(0).permutation(400)]
+        for algorithm in ALGORITHMS:
+            cfg = FitConfig(algorithm=algorithm)
+            rep1, rep2 = fit(data, cfg), fit(shuffled, cfg)
+            np.testing.assert_array_equal(flatten_params(rep1.params),
+                                          flatten_params(rep2.params))
+            np.testing.assert_array_equal(rep1.loglik_trace, rep2.loglik_trace)
 
     def test_init_override_in_data_scale(self):
         data = sample(BASE, 600, seed=14) / 100.0
@@ -644,15 +644,24 @@ class TestFit:
         np.testing.assert_allclose(rep.params.beta1, true.beta1, atol=0.12)
         np.testing.assert_allclose(rep.params.sigma, true.sigma, atol=0.15)
 
-    @pytest.mark.parametrize("seed", [3, 5])
-    def test_degenerate_ar_panel_names_the_location_system(self, seed):
-        # 52-row d=5 AR(1) panels on which a row collapses onto the location
+    @pytest.mark.parametrize("seed, max_iter", [(3, 5000), (5, 5000), (3, 122)],
+                             ids=["3", "5", "3-max_iter122"])
+    def test_degenerate_ar_panel_stops_on_a_nonfinite_loglik(self, seed, max_iter):
+        # 52-row d=5 AR(1) panels on which a row collapses onto the location:
+        # nu sits at its lower bound and l turns NaN, which the fit neither
+        # runs past nor returns (its last cycle when max_iter is 122)
         params = MsvgParams(mu=np.zeros(5), beta1=0.2 * np.eye(5),
                             sigma=0.7 * np.eye(5) + 0.3, gamma=np.linspace(0.1, 0.5, 5),
                             nu=2.5)
         data = sample(params, 52, seed=seed)
-        with pytest.raises(np.linalg.LinAlgError, match="location system"):
-            fit(data, FitConfig(ar_order=1))
+        with pytest.raises(FloatingPointError,
+                           match=r"log-likelihood is not finite at cycle \d+ \(nu = 0\.0001\)"):
+            fit(data, FitConfig(ar_order=1, max_iter=max_iter))
+
+    def test_nonfinite_starting_loglik_raises(self, monkeypatch):
+        monkeypatch.setattr(msvg.ecm, "observed_loglik", lambda *args, **kwargs: math.nan)
+        with pytest.raises(FloatingPointError, match=r"not finite at cycle 0 \(nu = 2\)"):
+            fit(sample(BASE, 200, seed=1))
 
     def test_univariate_hecm_line_search(self):
         true = MsvgParams(mu=[0.0], sigma=[[1.0]], gamma=[0.2], nu=1.0)

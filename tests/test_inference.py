@@ -260,6 +260,21 @@ class TestObservedInfo:
             info = observed_info(p, data, guard=CenterGuard(0.05))
         np.testing.assert_array_equal(info.matrix, info.matrix.T)
 
+    @pytest.mark.parametrize("ar", [False, True], ids=["plain", "ar1"])
+    def test_row_order_invariance(self, ar):
+        # the rows (for AR(1) the pairs (y_i, y_{i-1})) are sorted before
+        # anything is summed, so a permutation gives the same bits
+        p = MsvgParams(mu=[0.1, -0.2, 0.0], beta1=0.2 * np.eye(3) + 0.05 if ar else None,
+                       sigma=0.6 * np.eye(3) + 0.4, gamma=[0.3, -0.1, 0.2], nu=2.5)
+        x = sample(p, 401, seed=3)
+        y, y_prev = (x[1:], x[:-1]) if ar else (x, None)
+        perm = np.random.default_rng(0).permutation(len(y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            first = observed_info(p, y, y_prev)
+            second = observed_info(p, y[perm], None if y_prev is None else y_prev[perm])
+        np.testing.assert_array_equal(first.matrix, second.matrix)
+
     def test_matches_numerical_hessian(self):
         data, rep = converged_fit(n=1500, seed=42)
         guard = CenterGuard(1e-4)
