@@ -88,14 +88,13 @@ def _is_int(x) -> bool:
 @dataclass
 class SuffStats:
     """Sums over rows of the complete-data sufficient statistics: y, r (the
-    location's regressors), E(1/lam) r r', E(1/lam) r y', E(lam), E(log lam)."""
+    location's regressors), E(1/lam) r r', E(1/lam) r y' and E(lam)."""
 
     s_y: np.ndarray
     s_r: np.ndarray
     s_rr_over_lambda: np.ndarray
     s_ry_over_lambda: np.ndarray
     s_lambda: float
-    s_log_lambda: float
 
 
 @dataclass
@@ -187,8 +186,6 @@ def accumulate_suff_stats(data: np.ndarray, mix: MixingExpectations,
         s_rr_over_lambda=np.add.reduce(w * r[:, None, :]),
         s_ry_over_lambda=np.add.reduce(w * y[:, None, :]),
         s_lambda=float(np.add.reduce(mix.e_lambda)),
-        s_log_lambda=(float(np.add.reduce(mix.e_log_lambda))
-                      if mix.e_log_lambda is not None else math.nan),
     )
 
 

@@ -173,7 +173,7 @@ def mixture_log_density_batch(mu, sigma, gamma, nu, ys,
     return out
 
 
-def naive_suff_stats(y, e_lam, e_inv, e_log, r=None):
+def naive_suff_stats(y, e_lam, e_inv, r=None):
     """Plain-python re-summation of the sufficient statistics; ``r`` holds
     the location's regressors (default: the intercept alone)."""
     n, d = y.shape
@@ -185,7 +185,6 @@ def naive_suff_stats(y, e_lam, e_inv, e_log, r=None):
         "s_rr_over_lambda": sum(e_inv[i] * np.outer(r[i], r[i]) for i in range(n)),
         "s_ry_over_lambda": sum(e_inv[i] * np.outer(r[i], y[i]) for i in range(n)),
         "s_lambda": sum(float(e_lam[i]) for i in range(n)),
-        "s_log_lambda": sum(float(e_log[i]) for i in range(n)),
     }
 
 

@@ -12,6 +12,7 @@ import pytest
 from scipy import optimize
 
 import msvg
+from msvg import specfun
 from msvg.distribution import (
     CenterGuard,
     Geometry,
@@ -115,13 +116,11 @@ class TestSuffStats:
 
     def test_two_row_toy(self):
         y = np.array([[1.0], [3.0]])
-        stats = accumulate_suff_stats(y, make_mix(y, [1.0, 2.0], [1.0, 0.5],
-                                                  [0.0, math.log(2.0)]))
+        stats = accumulate_suff_stats(y, make_mix(y, [1.0, 2.0], [1.0, 0.5]))
         assert stats.s_y[0] == 4.0
         assert stats.s_ry_over_lambda[0, 0] == 1.0 + 1.5
         assert stats.s_lambda == 3.0
         assert stats.s_rr_over_lambda[0, 0] == 1.5
-        assert stats.s_log_lambda == pytest.approx(math.log(2.0))
 
     def test_matches_naive_resummation(self):
         rng = np.random.default_rng(42)
@@ -129,9 +128,8 @@ class TestSuffStats:
         x = rng.normal(size=(37, 3))
         e_lam = rng.uniform(0.2, 3.0, size=37)
         e_inv = 1.0 / e_lam + rng.uniform(0.0, 1.0, size=37)
-        e_log = rng.normal(size=37)
-        stats = accumulate_suff_stats(y, make_mix(y, e_lam, e_inv, e_log), lagged(x))
-        ref = naive_suff_stats(y, e_lam, e_inv, e_log, r=lagged(x))
+        stats = accumulate_suff_stats(y, make_mix(y, e_lam, e_inv), lagged(x))
+        ref = naive_suff_stats(y, e_lam, e_inv, r=lagged(x))
         assert set(ref) == {f.name for f in dataclasses.fields(SuffStats)}
         for name, val in ref.items():
             np.testing.assert_allclose(getattr(stats, name), val, rtol=1e-12)
@@ -794,6 +792,53 @@ class TestMcecmStage:
         rep = fit(univariate, FitConfig(algorithm="hecm", max_iter=5))
         assert rep.switch_iter is None
         assert rep.mcecm_stage is None
+
+
+class TestBesselMemo:
+    """The ln K memo only saves evaluations: with no entry kept (the memo
+    is empty at every call), each fit and its information have the same
+    bits as the default run."""
+
+    @pytest.mark.parametrize("case", [
+        "mcecm", "ecme", "hecm", "mcecm_ar1", "ecme_ar1", "hecm_ar1", "hecm_nu0.6"])
+    def test_results_do_not_depend_on_the_memo(self, monkeypatch, case):
+        algorithm, _, kind = case.partition("_")
+        true = {"": BASE, "ar1": replace(BASE, beta1=0.2 * np.eye(2)),
+                "nu0.6": replace(BASE, nu=0.6)}[kind]
+        data = sample(true, 400, seed=5)
+        config = FitConfig(algorithm=algorithm, ar_order=int(kind == "ar1"),
+                           delta_cap=1e-4 if kind == "nu0.6" else None)
+        guard = CenterGuard(config.delta_cap) if config.delta_cap else None
+
+        def run():
+            specfun._clear_memo()
+            rep = fit(data, config)
+            return rep, msvg.observed_info(rep.params, data, guard=guard)
+
+        memo, memo_info = run()
+        monkeypatch.setattr(specfun, "_MEMO_ENTRIES", 0)
+        fresh, fresh_info = run()
+        assert differing_fields(memo, fresh) == []
+        assert differing_fields(memo_info, fresh_info) == []
+        if kind == "nu0.6":
+            assert memo.guarded_trace.max() > 0
+
+    def test_evaluations_per_cycle_and_information(self, monkeypatch):
+        # every call still reaches log_bessel_k (9 per MCECM cycle, 29 per
+        # information); the memo evaluates a cycle's closing ln K_eta once
+        # for the next E-step, and the information's 11 distinct blocks once
+        evaluations = []
+        evaluate = specfun._evaluate
+        monkeypatch.setattr(specfun, "_evaluate", lambda order, z: (
+            evaluations.append(order), evaluate(order, z))[1])
+        data = sample(BASE, 400, seed=5)
+        specfun._clear_memo()
+        rep = fit(data, FitConfig(algorithm="mcecm"))
+        assert len(evaluations) == 8 * rep.conv_iter + 1
+        specfun._clear_memo()
+        evaluations.clear()
+        msvg.observed_info(rep.params, data)
+        assert len(evaluations) == 11
 
 
 class TestCompleteDataConsistency:

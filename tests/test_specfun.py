@@ -122,12 +122,20 @@ def kernel_points(order: float, n: int = 10_000) -> np.ndarray:
 
 
 class TestThreadedKernel:
+    """Each test starts from an empty ln K memo, and empties it between a
+    serial and a threaded evaluation, so that both run the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        specfun._clear_memo()
+
     @pytest.mark.parametrize("threads", ["2", "3"])
     @pytest.mark.parametrize("order", [0.3, 1.5, 14.1, 200.0])
     def test_threads_bit_identical(self, monkeypatch, order, threads):
         z = kernel_points(order)
         monkeypatch.setenv("MSVG_THREADS", "1")
         serial = log_bessel_k(order, z)
+        specfun._clear_memo()
         monkeypatch.setenv("MSVG_THREADS", threads)
         np.testing.assert_array_equal(log_bessel_k(order, z), serial)
         assert np.all(np.isfinite(serial))
@@ -141,6 +149,7 @@ class TestThreadedKernel:
         orders = [0.3, 1.5, 14.1, 200.0] * 2
         monkeypatch.setenv("MSVG_THREADS", "1")
         serial = [log_bessel_k(o, kernel_points(o)) for o in orders]
+        specfun._clear_memo()
         monkeypatch.setenv("MSVG_THREADS", "3")
         monkeypatch.setattr(specfun, "_pool", None)
         interval = sys.getswitchinterval()
@@ -180,6 +189,7 @@ class TestThreadedKernel:
             release.set()
             pool.shutdown()
         assert elapsed < 30
+        specfun._clear_memo()
         monkeypatch.setenv("MSVG_THREADS", "1")
         np.testing.assert_array_equal(out, log_bessel_k(1.5, z))
 
@@ -202,6 +212,7 @@ class TestThreadedKernel:
         large = np.linspace(0.05, 30.0, 8192)
         monkeypatch.setenv("MSVG_THREADS", "1")
         serial = [log_bessel_k(2.3, small), log_bessel_k(2.3, large)]
+        specfun._clear_memo()
         monkeypatch.setenv("MSVG_THREADS", "3")
         threaded = [log_bessel_k(2.3, small), log_bessel_k(2.3, large)]
         pool = specfun._pool
@@ -219,6 +230,71 @@ class TestThreadedKernel:
         res = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+
+class TestMemo:
+    """log_bessel_k's memo: exact keys, private copies, bounded size."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        specfun._clear_memo()
+        yield
+        specfun._clear_memo()
+
+    def test_hit_is_a_fresh_copy(self):
+        z = np.linspace(0.1, 8.0, 50)
+        first = log_bessel_k(1.3, z)
+        expect = first.copy()
+        first[:] = 0.0
+        second = log_bessel_k(1.3, z)
+        np.testing.assert_array_equal(second, expect)
+        assert second.flags.writeable and not np.shares_memory(first, second)
+        second[:] = 1.0
+        np.testing.assert_array_equal(log_bessel_k(1.3, z), expect)
+
+    def test_key_is_the_order_and_the_bits_of_z(self):
+        z = np.linspace(0.1, 8.0, 6)
+        log_bessel_k(1.3, z)
+        log_bessel_k(-1.3, z.tolist())
+        assert log_bessel_k(1.3, z[2]) == log_bessel_k(1.3, z[2:3])[0]
+        assert len(specfun._memo) == 2
+        log_bessel_k(1.3, np.nextafter(z, 1.0))
+        log_bessel_k(np.nextafter(1.3, 2.0), z)
+        assert len(specfun._memo) == 4
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_error_stores_nothing(self, bad):
+        z = np.linspace(0.1, 8.0, 6)
+        z[-1] = bad
+        with pytest.raises(ValueError):
+            log_bessel_k(0.7, z)
+        assert len(specfun._memo) == 0 and specfun._memo_bytes == 0
+
+    def test_entry_bound_drops_the_least_recently_used(self):
+        z = np.linspace(0.1, 8.0, 6)
+        for k in range(specfun._MEMO_ENTRIES + 5):
+            log_bessel_k(0.5 + k, z)
+            log_bessel_k(0.5, z)  # kept as the most recently used
+        keys = [key[0] for key in specfun._memo]
+        assert len(keys) == specfun._MEMO_ENTRIES
+        assert keys[-1] == 0.5 and 1.5 not in keys
+
+    def test_large_blocks_stay_within_the_byte_bound(self):
+        # each block's key and value take a quarter of the bound and more
+        n = specfun._MEMO_BYTES // 64 + 1
+        for k in range(8):
+            log_bessel_k(0.5 + k, np.linspace(0.1, 8.0, n))
+            assert specfun._memo_bytes <= specfun._MEMO_BYTES
+        assert len(specfun._memo) == 3
+        assert specfun._memo_bytes == sum(len(key[2]) + out.nbytes
+                                          for key, out in specfun._memo.items())
+
+    def test_block_over_the_byte_bound_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MEMO_BYTES", 16 * 1000)
+        log_bessel_k(0.5, np.linspace(0.1, 8.0, 1000))
+        assert len(specfun._memo) == 1
+        log_bessel_k(0.5, np.linspace(0.1, 8.0, 1001))
+        assert len(specfun._memo) == 1 and specfun._memo_bytes == 16 * 1000
 
 
 class TestBesselRatio:
