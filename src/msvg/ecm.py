@@ -34,8 +34,11 @@ the latter is built once, right after the scale step, and handed on with
 ``geometry=`` to the second E-step (MCECM) or the ECME shape search, to
 the cycle's closing log-likelihood (the geometry does not depend on nu),
 to the next cycle's first E-step and, after the last cycle, to the final
-guarded count.  The fit's starting log-likelihood builds the first one;
-HECM's revert restores the geometry together with the iterate.
+guarded count.  The fit's starting log-likelihood builds the first one.
+A fit runs its stages (HECM: MCECM, then ECME) in turn, each to the
+stopping test; a cycle's result, geometry included, starts the next cycle
+only when the test does not fire, so a stage starts from the iterate
+before the previous stage's stop.
 
 One rule says whether a result belongs to a parameter point, the point's
 tag (:mod:`msvg.distribution`): geometries and mixing expectations carry
@@ -128,12 +131,14 @@ class FitConfig:
 class FitReport:
     """Converged estimates plus the diagnostics of the run.
 
+    The report is of the iterate whose log-likelihood ends ``loglik_trace``.
     ``mcecm_stage`` is set on an HECM fit with an MCECM first stage: the
-    report that an MCECM fit of the same data and configuration returns,
-    field for field and bit for bit, except ``wall_time``, which is this
-    fit's time up to the switch (or to ``max_iter`` when it never switched).
-    It is None for MCECM and ECME fits and for the d=1 constant-mean HECM
-    fit, whose first stage also searches the location.
+    report at the end of that stage, which an MCECM fit of the same data and
+    configuration returns field for field and bit for bit, except
+    ``wall_time``, which is this fit's time up to the switch (or to
+    ``max_iter`` when it never switched).  It is None for MCECM and ECME
+    fits and for the d=1 constant-mean HECM fit, whose first stage also
+    searches the location.
     """
 
     params: MsvgParams
@@ -147,7 +152,6 @@ class FitReport:
     algorithm: str
     n_obs: int
     guarded_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    nu_hit_bound: bool = False
     mcecm_stage: FitReport | None = None
 
 
@@ -286,10 +290,8 @@ def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
     The score of the conditional gamma log-likelihood is strictly
     decreasing, so once a sign change brackets the root, Newton steps are
     accepted only when they stay inside the bracket and shrink the score;
-    otherwise the bracket is bisected.  Without a sign change the boundary
-    with the larger gamma log-likelihood is returned and flagged.
-
-    Returns ``(nu, at_bound)``; the bounds are :data:`NU_BOUNDS`.
+    otherwise the bracket is bisected.  Without a sign change the bound of
+    :data:`NU_BOUNDS` with the larger gamma log-likelihood is returned.
     """
     lo, hi = NU_BOUNDS
     n = mix.e_lambda.shape[0]
@@ -298,8 +300,7 @@ def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
     g_hi = _gamma_score(hi, *args)
     if g_lo <= 0.0 or g_hi >= 0.0:
         # score is one-signed on the interval: pick the better endpoint
-        best = lo if _gamma_loglik(lo, *args) >= _gamma_loglik(hi, *args) else hi
-        return best, True
+        return lo if _gamma_loglik(lo, *args) >= _gamma_loglik(hi, *args) else hi
     nu = min(max(nu_current, lo), hi)
     g = _gamma_score(nu, *args)
     tol = 1e-10 * n
@@ -319,7 +320,7 @@ def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
                 continue
         nu = 0.5 * (lo + hi)
         g = _gamma_score(nu, *args)
-    return nu, False
+    return nu
 
 
 def _bounded_brent(func, lo: float, hi: float, xatol: float) -> float:
@@ -472,7 +473,7 @@ def _maximize_mu_univariate(y: np.ndarray, params: MsvgParams,
 def _one_cycle(y, y_prev, r, params, geometry, guard, nu_step: str,
                line_search_mu: bool):
     """One full ECM cycle from ``params``, its ``geometry`` and the location's
-    regressors ``r``; returns (new params, their geometry, guarded count, nu flag)."""
+    regressors ``r``; returns (new params, their geometry, guarded count)."""
     if line_search_mu:
         mu_star = _maximize_mu_univariate(y, params, guard)
         params = replace(params, mu=np.array([mu_star]))
@@ -497,18 +498,17 @@ def _one_cycle(y, y_prev, r, params, geometry, guard, nu_step: str,
     trial = replace(trial, sigma=sigma)
     geometry = Geometry.of(trial, y, y_prev)
 
-    nu_at_bound = False
     if nu_step == "mcecm":
         # E-step 2 at the updated location/scale/skew
         mix2 = posterior_lambda_moments(trial, y, guard=guard, y_prev=y_prev,
                                         geometry=geometry)
-        nu, nu_at_bound = cm_step_shape_mcecm(mix2, trial.nu)
+        nu = cm_step_shape_mcecm(mix2, trial.nu)
         guarded = int(mix2.guarded.sum())
     else:
         nu = cm_step_shape_ecme(y, trial, guard, y_prev=y_prev, geometry=geometry)
         guarded = int(mix34.guarded.sum())
     trial = replace(trial, nu=float(nu))
-    return trial, geometry, guarded, nu_at_bound
+    return trial, geometry, guarded
 
 
 def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
@@ -555,9 +555,7 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     offset = n_eff * d * math.log(c)  # maps the scaled loglik to data scale
     algorithm = config.algorithm
     line_search_mu = algorithm == "hecm" and d == 1 and not ar
-    nu_step = "ecme" if algorithm == "ecme" else "mcecm"
-    # the first stage of this HECM fit is the MCECM fit
-    keep_stage = algorithm == "hecm" and not line_search_mu
+    stages = {"mcecm": ["mcecm"], "ecme": ["ecme"], "hecm": ["mcecm", "ecme"]}[algorithm]
 
     def loglik(t: int) -> float:  # l at the current iterate, after cycle t
         ll = observed_loglik(y, params, guard=guard, y_prev=y_prev, geometry=geometry) + offset
@@ -566,26 +564,16 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
         raise FloatingPointError(
             f"log-likelihood is not finite at cycle {t} (nu = {params.nu:.6g})")
 
-    geometry = Geometry.of(params, y, y_prev)
-    ll_prev = loglik(0)
-    trace = [ll_prev]
-    guarded_trace = []
-    switch_iter = None
-    mcecm_stage = None
-    converged = False
-    nu_hit_bound = False
-    conv_iter = 0
-
     def report(algorithm: str, converged: bool, switch_iter=None,
                mcecm_stage=None) -> FitReport:
-        # the report of the current iterate; the guarded count is taken by
-        # the E-step's rule
+        # the report of the current iterate, whose l ends the trace; the
+        # guarded count is taken by the E-step's rule
         _, _, _, guarded = geometry.capped(params.nu, guard)
         return FitReport(
             params=_scale_params(params, 1.0 / c),
             loglik_trace=np.asarray(trace),
             final_loglik=trace[-1],
-            conv_iter=conv_iter,
+            conv_iter=len(trace) - 1,
             switch_iter=switch_iter,
             wall_time=time.perf_counter() - t0,
             guarded_count_final=int(np.sum(guarded)),
@@ -593,37 +581,32 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
             algorithm=algorithm,
             n_obs=n_eff,
             guarded_trace=np.asarray(guarded_trace, dtype=int),
-            nu_hit_bound=nu_hit_bound,
             mcecm_stage=mcecm_stage,
         )
 
-    for t in range(1, config.max_iter + 1):
-        prev_params, prev_geometry, prev_ll = params, geometry, ll_prev
-        params, geometry, guarded, at_bound = _one_cycle(
-            y, y_prev, r, params, geometry, guard, nu_step, line_search_mu)
-        nu_hit_bound = nu_hit_bound or at_bound
-        ll = loglik(t)
-        trace.append(ll)
-        guarded_trace.append(guarded)
-        conv_iter = t
-        if abs(ll - ll_prev) < config.tol * (abs(ll) + 1.0):
-            if algorithm == "hecm" and nu_step == "mcecm":
-                if keep_stage:
-                    # where the MCECM fit stops, converged
-                    mcecm_stage = report("mcecm", True)
-                # revert one iterate and finish with ECME shape updates
-                switch_iter = t
-                nu_step = "ecme"
-                params, geometry, ll_prev = prev_params, prev_geometry, prev_ll
-                continue
-            converged = True
-            break
-        ll_prev = ll
+    geometry = Geometry.of(params, y, y_prev)
+    ll_prev = loglik(0)
+    trace = [ll_prev]
+    guarded_trace = []
+    start = params, geometry  # the iterate the next cycle starts from
+    switch_iter = mcecm_stage = None
+    for k, nu_step in enumerate(stages):
+        stopped = False
+        while not stopped and len(trace) <= config.max_iter:
+            params, geometry, guarded = _one_cycle(
+                y, y_prev, r, *start, guard, nu_step, line_search_mu)
+            ll = loglik(len(trace))
+            trace.append(ll)
+            guarded_trace.append(guarded)
+            stopped = abs(ll - ll_prev) < config.tol * (abs(ll) + 1.0)
+            if not stopped:  # a next stage starts from the iterate before the stop
+                start, ll_prev = (params, geometry), ll
+        if k + 1 < len(stages):
+            switch_iter = len(trace) - 1 if stopped else None
+            # the d=1 line search's first stage is not the MCECM fit
+            mcecm_stage = None if line_search_mu else report("mcecm", stopped)
 
-    if keep_stage and mcecm_stage is None:
-        # never switched: the MCECM fit also ran out of cycles here
-        mcecm_stage = report("mcecm", False)
-    result = report(algorithm, converged, switch_iter, mcecm_stage)
+    result = report(algorithm, stopped, switch_iter, mcecm_stage)
     if result.params.ar and not result.params.stationary:
         warnings.warn(
             f"fitted AR matrix has spectral radius "

@@ -236,6 +236,8 @@ def log_bessel_k(order: float, z):
 
 
 def _evaluate(order: float, z: np.ndarray) -> np.ndarray:
+    if z.ndim > 1:  # the chunks and the ladder index a flat block
+        return _evaluate(order, z.ravel()).reshape(z.shape)
     out = _log_kve_split(order, z) if z.size >= 2 * _CHUNK else _log_kve(order, z)
     # One reduction checks the whole block.  An argument that is not
     # positive and finite gives a non-finite value (kve is inf at 0 and NaN

@@ -320,8 +320,7 @@ class TestShapeSteps:
         nu0 = 1.7
         n = 100
         mix = make_mix(np.zeros((n, 1)), 1.0, 1.0, float(digamma(nu0)) - math.log(nu0))
-        nu, at_bound = cm_step_shape_mcecm(mix, nu_current=1.0)
-        assert not at_bound
+        nu = cm_step_shape_mcecm(mix, nu_current=1.0)
         assert nu == pytest.approx(nu0, rel=1e-9)
 
     def test_score_slope_matches_finite_difference(self):
@@ -338,9 +337,7 @@ class TestShapeSteps:
         # a guarded weight near zero drives S_loglam to a huge negative value
         n = 100
         mix = make_mix(np.zeros((n, 1)), 1.0, 1.0, -1e8 / n)
-        nu, at_bound = cm_step_shape_mcecm(mix, nu_current=1.0)
-        assert at_bound
-        assert nu == 1e-4
+        assert cm_step_shape_mcecm(mix, nu_current=1.0) == 1e-4
 
     def test_ecme_recovers_shape(self):
         true = replace(BASE, nu=3.0)
@@ -752,9 +749,10 @@ def fixture_values():
 class TestMcecmStage:
     @pytest.mark.parametrize("case", [
         "fixture", "fixture_ar1", "nu0.6_delta1e-7", "nu0.6_delta1e-4", "nu0.6_default",
-        "max_iter"])
+        "max_iter", "max_iter_after_switch", "max_iter_at_switch"])
     def test_stage_is_the_mcecm_fit(self, case):
         guarded = sample(replace(BASE, nu=0.6), 400, seed=5)
+        plain = sample(BASE, 400, seed=5)  # HECM switches at cycle 30
         data, config = {
             "fixture": (fixture_values(), FitConfig(tol=1e-6)),
             "fixture_ar1": (fixture_values(), FitConfig(tol=1e-6, ar_order=1)),
@@ -763,6 +761,10 @@ class TestMcecmStage:
             "nu0.6_default": (guarded, FitConfig()),
             # stops at max_iter before the stopping test fires
             "max_iter": (guarded, FitConfig(max_iter=5)),
+            # runs out in the ECME stage
+            "max_iter_after_switch": (plain, FitConfig(max_iter=31)),
+            # runs out on the switch cycle: the report is the MCECM stop
+            "max_iter_at_switch": (plain, FitConfig(max_iter=30)),
         }[case]
         hecm = fit(data, replace(config, algorithm="hecm"))
         mcecm = fit(data, replace(config, algorithm="mcecm"))
@@ -777,7 +779,16 @@ class TestMcecmStage:
             assert stage.converged and stage.conv_iter == hecm.switch_iter
             np.testing.assert_array_equal(
                 hecm.loglik_trace[:hecm.switch_iter + 1], stage.loglik_trace)
+        if case.startswith("max_iter_"):
+            assert hecm.switch_iter == 30 and not hecm.converged
+            assert hecm.conv_iter == config.max_iter
         assert 0.0 < stage.wall_time <= hecm.wall_time
+        # the report is the iterate whose l ends the trace
+        guard = None if config.delta_cap is None else CenterGuard(config.delta_cap)
+        assert hecm.final_loglik == pytest.approx(
+            observed_loglik(data, hecm.params, guard), rel=1e-12)
+        if case == "max_iter_at_switch":
+            assert differing_fields(hecm.params, stage.params) == []
 
     def test_no_stage_outside_hecm(self):
         data = sample(BASE, 300, seed=2)

@@ -196,7 +196,7 @@ class TestCompleteScore:
         point = MsvgParams(mu=mu, sigma=np.eye(d), gamma=gamma, nu=1.0)
         mix.tag = Geometry.of(point, y).tag
         sigma = msvg.cm_step_scale(y, point, mix)
-        nu, _ = msvg.cm_step_shape_mcecm(mix, 1.0)
+        nu = msvg.cm_step_shape_mcecm(mix, 1.0)
         p = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=nu)
         score = complete_score(p, y, lam)
         assert np.max(np.abs(score)) < 1e-9 * n

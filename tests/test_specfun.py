@@ -60,6 +60,24 @@ class TestLogBesselK:
         for i, zi in enumerate(z):
             assert vec[i] == log_bessel_k(1.7, float(zi))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (6, 1), (3, 3000)])
+    def test_block_of_any_shape(self, monkeypatch, shape):
+        # the bits of the flat block; (3, 3000) is cut into chunks for two threads
+        monkeypatch.setenv("MSVG_THREADS", "2")
+        z = np.linspace(0.05, 40.0, math.prod(shape)).reshape(shape)
+        out = log_bessel_k(1.7, z)
+        assert out.shape == shape
+        np.testing.assert_array_equal(out.ravel(), log_bessel_k(1.7, z.ravel()))
+
+    def test_block_of_two_dimensions_takes_the_ladder(self):
+        # K_200(1) overflows kve, so that entry goes down the order ladder
+        z = np.array([[1.0, 250.0, 400.0], [500.0, 800.0, 1000.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(specfun.sp.kve(200.0, 1.0))
+        out = log_bessel_k(200.0, z)
+        assert out.shape == z.shape and np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out.ravel(), log_bessel_k(200.0, z.ravel()))
+
     def test_recurrence(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
