@@ -105,8 +105,8 @@ class MsvgParams:
             raise ValueError("parameter dimensions disagree")
         if not all(_all(np.isfinite(a), axis=None) for a in arrays):
             raise ValueError("parameters must be finite")
-        if not self.nu > 0:
-            raise ValueError(f"shape parameter must be positive, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(f"shape parameter must be positive and finite, got {self.nu}")
 
     @property
     def d(self) -> int:
@@ -122,7 +122,7 @@ class MsvgParams:
             return self.mu
         if y_prev is None:
             raise ValueError("AR parameters require the lagged observations")
-        return self.mu + np.asarray(y_prev, dtype=float) @ self.beta1.T
+        return self.mu + _rows(y_prev, self.d) @ self.beta1.T
 
     def regressors(self, y, y_prev=None) -> np.ndarray:
         """The location's regressors r_i, a row per row of ``y``: (1), or
@@ -137,10 +137,10 @@ class MsvgParams:
     def modelled_rows(self, data, y_prev=None):
         """``(y, y_prev)`` of a data block; for AR(1) with no lagged block
         given, the first row only conditions the second and is not modelled."""
-        data = np.atleast_2d(np.asarray(data, dtype=float))
+        data = _rows(data, self.d)
         if self.ar and y_prev is None:
             return data[1:], data[:-1]
-        return data, y_prev
+        return data, None if y_prev is None else _rows(y_prev, self.d)
 
     @property
     def spectral_radius(self) -> float:
@@ -180,6 +180,24 @@ class MsvgParams:
         except np.linalg.LinAlgError:
             raise ValueError("parameter block's sigma is not positive definite") from None
         return params
+
+
+def _rows(x, d: int) -> np.ndarray:
+    """``x`` as an (n, d) block.  A 1-D block is a series when d = 1 and one
+    observation otherwise, as scipy.stats reads quantiles; any other width
+    raises ``ValueError``."""
+    x = np.array(x, dtype=float, ndmin=1, copy=None)
+    if x.ndim == 1:
+        x = x[:, None] if d == 1 else x[None, :]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"observations must have {d} columns, got shape {x.shape}")
+    return x
+
+
+def _one_observation(y, d: int) -> bool:
+    """Whether ``y`` is one observation by the rule of :func:`_rows`: a
+    scalar, or a 1-D block when d > 1."""
+    return np.ndim(y) < (2 if d > 1 else 1)
 
 
 def _canonical_rows(y, y_prev=None):
@@ -230,7 +248,7 @@ def _point_tag(params, rows: int) -> bytes:
 def check_tag(tag, params, y, what: str) -> None:
     """Raise ``ValueError`` unless ``tag`` names ``params`` and the rows of
     ``y`` (one row when ``y`` is a single observation)."""
-    if tag != _point_tag(params, 1 if np.ndim(y) == 1 else len(y)):
+    if tag != _point_tag(params, 1 if _one_observation(y, params.d) else len(y)):
         raise ValueError(f"{what} stale: built for another parameter point "
                          f"or data block")
 
@@ -277,8 +295,8 @@ class Geometry:
 
     @classmethod
     def of(cls, params, y, y_prev=None) -> "Geometry":
-        """Geometry of a single observation (d,) or a block (n, d)."""
-        resid = np.atleast_2d(np.asarray(y, dtype=float) - params.location(y_prev))
+        """Geometry of a block of observations, read by :func:`_rows`."""
+        resid = _rows(y, params.d) - params.location(y_prev)
         if not _all(np.isfinite(resid), axis=None):
             raise ValueError("observations must be finite")
         chol_l = _chol_lower(params.sigma)
@@ -326,24 +344,16 @@ class Geometry:
                 + log_bessel_k(eta, delta * psi) + self.lin)
 
 
-def mahalanobis_delta(params, y, y_prev=None):
-    """Mahalanobis distance delta of each observation under the scale matrix.
-
-    Accepts a single observation (d,) or a block (n, d).
-    """
-    delta = Geometry.of(params, y, y_prev).delta
-    return float(delta[0]) if np.ndim(y) == 1 else delta
-
-
 def log_density(params, y, guard: CenterGuard | None = None, y_prev=None):
     """Capped log density of the MSVG model, evaluated on the log scale.
 
     Observations inside the delta region are evaluated at the substituted
     distance delta* = cap / psi, so the result is finite for every input,
-    including y exactly at the location when nu <= d/2.
+    including y exactly at the location when nu <= d/2.  A float for one
+    observation, else an array of one value per row (see :func:`_rows`).
     """
     out = Geometry.of(params, y, y_prev).log_density(params.nu, guard)
-    return float(out[0]) if np.ndim(y) == 1 else out
+    return float(out[0]) if _one_observation(y, params.d) else out
 
 
 def moments(params: MsvgParams):

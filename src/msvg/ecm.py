@@ -13,8 +13,8 @@ Three fitting algorithms share one cycle structure:
   avoids the conditional expectation of log lam entirely.  The search is
   warm-bracketed on [nu/2, 2 nu] around the last nu and widens by 4 on
   both sides while its optimum sits on an inner edge.
-* ``hecm`` -- runs MCECM to tolerance, then reverts to the iterate before
-  the stopping test fired and finishes with ECME shape updates.  The first
+* ``hecm`` -- runs MCECM to tolerance, then finishes with ECME shape
+  updates from the iterate before the stopping test fired.  The first
   stage is the MCECM fit of the same data and configuration, so the report
   keeps it (``FitReport.mcecm_stage``) and an algorithm race need not fit
   MCECM again.  The d=1 constant-mean HECM fit adds a location line search
@@ -63,6 +63,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.special import digamma
 
 from .distribution import (
     CenterGuard,
@@ -70,11 +71,12 @@ from .distribution import (
     MixingExpectations,
     MsvgParams,
     _canonical_rows,
+    _rows,
     check_tag,
     log_density,
     posterior_lambda_moments,
 )
-from .specfun import digamma, log_gamma, trigamma
+from .specfun import trigamma
 
 ALGORITHMS = ("mcecm", "ecme", "hecm")
 
@@ -252,7 +254,7 @@ def cm_step_scale(data: np.ndarray, params, refreshed_mix: MixingExpectations,
     expectations refreshed at ``params``, the point of the extra E-step (new
     location and skew, old scale); those of any other point are rejected.
     """
-    y = np.atleast_2d(np.asarray(data, dtype=float))
+    y = _rows(data, params.d)
     check_tag(refreshed_mix.tag, params, y, "mixing expectations are")
     n = len(y)
     resid = y - params.location(y_prev)
@@ -273,11 +275,6 @@ def cm_step_scale(data: np.ndarray, params, refreshed_mix: MixingExpectations,
     return sigma
 
 
-def _gamma_loglik(nu: float, n: int, s_lambda: float, s_log_lambda: float) -> float:
-    return (n * nu * math.log(nu) - n * float(log_gamma(nu))
-            + (nu - 1.0) * s_log_lambda - nu * s_lambda)
-
-
 def _gamma_score(nu: float, n: int, s_lambda: float, s_log_lambda: float) -> float:
     return (n * (1.0 + math.log(nu) - float(digamma(nu)))
             + s_log_lambda - s_lambda)
@@ -291,7 +288,7 @@ def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
     decreasing, so once a sign change brackets the root, Newton steps are
     accepted only when they stay inside the bracket and shrink the score;
     otherwise the bracket is bisected.  Without a sign change the bound of
-    :data:`NU_BOUNDS` with the larger gamma log-likelihood is returned.
+    :data:`NU_BOUNDS` that the one-signed score points to is returned.
     """
     lo, hi = NU_BOUNDS
     n = mix.e_lambda.shape[0]
@@ -299,8 +296,8 @@ def cm_step_shape_mcecm(mix: MixingExpectations, nu_current: float):
     g_lo = _gamma_score(lo, *args)
     g_hi = _gamma_score(hi, *args)
     if g_lo <= 0.0 or g_hi >= 0.0:
-        # score is one-signed on the interval: pick the better endpoint
-        return lo if _gamma_loglik(lo, *args) >= _gamma_loglik(hi, *args) else hi
+        # score is one-signed on the interval: the better endpoint
+        return lo if g_lo <= 0.0 else hi
     nu = min(max(nu_current, lo), hi)
     g = _gamma_score(nu, *args)
     tol = 1e-10 * n

@@ -36,14 +36,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import digamma
 
-from .distribution import CenterGuard, Geometry, MsvgParams, _canonical_rows, _gig_first_moments
-from .specfun import (
-    bessel_k_order_derivative_over_k,
-    digamma,
-    log_bessel_k,
-    trigamma,
+from .distribution import (
+    CenterGuard,
+    Geometry,
+    MsvgParams,
+    _canonical_rows,
+    _gig_first_moments,
+    _one_observation,
+    _rows,
 )
+from .specfun import bessel_k_order_derivative_over_k, log_bessel_k, trigamma
 
 
 class SingularInformationError(RuntimeError):
@@ -139,7 +143,8 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
                            + [K_eta^(2,0)(z) + 2 ln(delta/psi) K_eta^(1,0)(z)] / K_eta(z)
 
     where z = delta * psi.  ``geometry`` is that of ``params`` and ``y``
-    when the caller already holds it.
+    when the caller already holds it.  A float for one observation, else an
+    array of one value per row (see :func:`msvg.distribution._rows`).
     """
     if kind not in ("plain", "times_log", "log_squared"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -164,7 +169,7 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
             else:
                 d1 = bessel_k_order_derivative_over_k(eta + k, z, degree=1)
                 out = plain * (d1 + log_dp)
-    return float(out[0]) if np.ndim(y) == 1 else out
+    return float(out[0]) if _one_observation(y, params.d) else out
 
 
 def _design(params, data, y_prev):
@@ -173,8 +178,8 @@ def _design(params, data, y_prev):
     vech(Sigma) direction m, with symmetric basis matrix E_m, the stacks
     P E_m and P E_m P.
     """
-    y = np.atleast_2d(np.asarray(data, dtype=float))
-    x = None if y_prev is None else np.atleast_2d(np.asarray(y_prev, dtype=float))
+    y = _rows(data, params.d)
+    x = None if y_prev is None else _rows(y_prev, params.d)
     resid = y - params.location(x)
     r = params.regressors(y, x)
     prec = np.linalg.inv(0.5 * (params.sigma + params.sigma.T))

@@ -25,6 +25,14 @@ use; a forked child drops the pool it inherited (its threads do not exist
 there) and creates its own.  The worker processes of a study run the kernel
 on one thread.
 
+A block asked for again is read from a memo keyed on (|order|, z's shape,
+z's bytes), so a hit returns the bits a fresh evaluation would.  It keeps
+the most recently used entries, at most ``_MEMO_ENTRIES`` and at most
+``_MEMO_BYTES`` (an entry counts twice its z bytes); a larger block is never
+stored.  It stores a copy of each result and hands out a copy on each hit,
+so a caller that writes into its result changes no later one.  A forked
+child starts with an empty memo and a new lock.
+
 The order derivatives of K_v are central differences in v of step
 ``ORDER_DIFF_STEP``, formed in one place, ``_order_diff_over_k``, from the
 ln K_v its caller already holds: :func:`bessel_k_order_derivative_over_k`
@@ -212,8 +220,7 @@ def log_bessel_k(order: float, z):
 
     Uses the symmetry K_{-v} = K_v.  Vectorized over ``z``; the order is a
     scalar.  Large blocks are split across threads, and a block asked for
-    again is read from the memo keyed on (|order|, z's shape and bytes),
-    bit for bit what a fresh evaluation returns (see the module notes).
+    again is read from the memo (see the module notes).
     Finite for all z in (0, 1e8] and |order| <= 300.
     """
     if not math.isfinite(order):
@@ -270,10 +277,13 @@ def bessel_k_order_derivative_over_k(order: float, z, degree: int = 1):
     return float(out) if np.isscalar(z) else out
 
 
-def _positive_finite(x, name: str):
-    """``x`` as floats after the domain check 0 < x < inf.
+def trigamma(x):
+    """psi'(x), strictly positive for x > 0.
 
-    A Python float, the shape step's argument, skips the array round trip.
+    Evaluated as the Hurwitz zeta function zeta(2, x), the value that
+    ``scipy.special.polygamma(1, x)`` returns, without its array wrapper.
+    The domain check 0 < x < inf skips the array round trip for a Python
+    float, the shape step's argument.
     """
     if type(x) is float:
         ok = 0.0 < x < math.inf
@@ -281,24 +291,5 @@ def _positive_finite(x, name: str):
         x = np.asarray(x, dtype=float)
         ok = np.all((0.0 < x) & (x < math.inf))
     if not ok:
-        raise ValueError(f"{name} requires x > 0")
-    return x
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    return sp.gammaln(_positive_finite(x, "log_gamma"))
-
-
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    return sp.digamma(_positive_finite(x, "digamma"))
-
-
-def trigamma(x):
-    """psi'(x), strictly positive for x > 0.
-
-    Evaluated as the Hurwitz zeta function zeta(2, x), the value that
-    ``scipy.special.polygamma(1, x)`` returns, without its array wrapper.
-    """
-    return sp.zeta(2.0, _positive_finite(x, "trigamma"))
+        raise ValueError("trigamma requires x > 0")
+    return sp.zeta(2.0, x)

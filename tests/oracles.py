@@ -137,6 +137,55 @@ def mixture_log_density_quad(mu, sigma, gamma, nu, y) -> float:
     return peak + math.log(val)
 
 
+def loglik_mp(params, y, y_prev=None, delta_cap=None, dps: int = 50) -> float:
+    """The MSVG log-likelihood sum_i ln f(y_i) at ``dps`` digits in mpmath.
+
+    Each row is the closed form of the normal/gamma mixture integral,
+
+        ln f(y) = ln 2 + nu ln nu - ln Gamma(nu) - (d/2) ln(2 pi) - (1/2) ln|Sigma|
+                  + eta ln(delta/psi) + ln K_eta(delta psi) + (y - m)' Sigma^-1 gamma,
+
+    with eta = nu - d/2, psi^2 = 2 nu + gamma' Sigma^-1 gamma and m the
+    location (mu, or mu + beta1 y_prev for AR(1)); it is the formula of
+    ``Geometry.log_density`` with its constants collected.  For AR(1)
+    parameters without ``y_prev`` the first row only conditions the second.
+    A row with delta psi below ``delta_cap`` (default: the package's default
+    threshold for d) would be capped by the guard, and raises ValueError.
+    """
+    import mpmath as mp
+
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if params.beta1 is not None and y_prev is None:
+        y, y_prev = y[1:], y[:-1]
+    d = y.shape[1]
+    if delta_cap is None:
+        delta_cap = 1e-4 if d <= 2 else 1e-2
+    with mp.workdps(dps):
+        sigma = mp.matrix(np.asarray(params.sigma, dtype=float).tolist())
+        prec = mp.inverse(sigma)
+        gamma_v = mp.matrix(np.asarray(params.gamma, dtype=float).tolist())
+        mu = mp.matrix(np.asarray(params.mu, dtype=float).tolist())
+        beta1 = None if params.beta1 is None else mp.matrix(params.beta1.tolist())
+        nu = mp.mpf(float(params.nu))
+        eta = nu - mp.mpf(d) / 2
+        pg = prec * gamma_v
+        psi = mp.sqrt(2 * nu + (gamma_v.T * pg)[0])
+        const = (mp.log(2) + nu * mp.log(nu) - mp.loggamma(nu)
+                 - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(mp.det(sigma)) / 2)
+        total = mp.mpf(0)
+        for i, row in enumerate(y):
+            e = mp.matrix(row.tolist()) - mu
+            if beta1 is not None:
+                e -= beta1 * mp.matrix(np.asarray(y_prev[i], dtype=float).tolist())
+            delta = mp.sqrt((e.T * prec * e)[0])
+            z = delta * psi
+            if z < delta_cap:
+                raise ValueError(f"row {i} lies in the delta region (delta psi = {float(z):.3g})")
+            total += (const + eta * mp.log(delta / psi) + mp.log(mp.besselk(eta, z))
+                      + (e.T * pg)[0])
+        return float(total)
+
+
 def mixture_log_density_batch(mu, sigma, gamma, nu, ys,
                               lo=-45.0, hi=12.0, n_nodes=4097) -> np.ndarray:
     """ln f(y_i) for a block of points by composite Simpson quadrature of

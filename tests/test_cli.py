@@ -415,6 +415,16 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o" / "study.csv").exists()
 
+    def test_infinite_nu_exits_two(self, tmp_path, capsys):
+        # JSON's 1e999 reads as inf; the sample would be all NaN
+        text = json.dumps(TINY_SPEC).replace('"nu": 2.0', '"nu": 1e999')
+        assert '"nu": 1e999' in text
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run_cli("simulate", spec, "--out", tmp_path / "o") == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "study.csv").exists()
+
 
 class TestSummary:
     def test_summary_file_and_stdout(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.special import digamma
 
 from msvg.distribution import (
     CenterGuard,
@@ -10,13 +11,12 @@ from msvg.distribution import (
     MsvgParams,
     density_grid,
     log_density,
-    mahalanobis_delta,
     moments,
     posterior_lambda_moments,
     _chol_lower,
     sample,
 )
-from msvg.specfun import bessel_k_order_derivative_over_k, digamma
+from msvg.specfun import bessel_k_order_derivative_over_k
 
 from oracles import gig_moments_quad, mixture_log_density_quad
 
@@ -37,6 +37,14 @@ class TestParams:
             MsvgParams(mu=[0.0, 0.0], sigma=[[1.0]], gamma=[0.0], nu=1.0)
         with pytest.raises(ValueError):
             MsvgParams(mu=[np.inf], sigma=[[1.0]], gamma=[0.0], nu=1.0)
+
+    @pytest.mark.parametrize("nu", [math.inf, math.nan, -math.inf])
+    def test_shape_must_be_finite(self, nu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            base_params(nu=nu)
+        blob = base_params().to_json()
+        with pytest.raises(ValueError, match="positive and finite"):
+            MsvgParams.from_json({**blob, "nu": nu})
 
     def test_ar_spectral_radius_flag(self):
         p = MsvgParams(mu=[0.0], beta1=[[1.2]], sigma=[[1.0]],
@@ -59,43 +67,48 @@ class TestParams:
         assert CenterGuard.default_for_dim(5).delta_cap == 1e-2
 
 
+def mahalanobis(p, y, y_prev=None):
+    """The Mahalanobis distance delta of each row, as the density forms it."""
+    return Geometry.of(p, y, y_prev).delta
+
+
 class TestMahalanobis:
     def test_zero_at_location(self):
         p = base_params()
-        assert mahalanobis_delta(p, np.zeros(2)) == 0.0
+        assert mahalanobis(p, np.zeros(2))[0] == 0.0
 
     def test_identity_scale_is_euclidean(self):
         p = MsvgParams(mu=[0.0, 0.0], sigma=np.eye(2), gamma=[0.0, 0.0], nu=1.0)
-        assert mahalanobis_delta(p, np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert mahalanobis(p, np.array([3.0, 4.0]))[0] == pytest.approx(5.0)
 
     def test_correlated_two_by_two(self):
         # direct inverse of [[1, .4], [.4, 1]] gives (1,1)' S^-1 (1,1) = 2/1.4
         p = base_params()
-        assert mahalanobis_delta(p, np.array([1.0, 1.0])) == pytest.approx(
+        assert mahalanobis(p, np.array([1.0, 1.0]))[0] == pytest.approx(
             math.sqrt(2.0 / 1.4), rel=1e-14)
 
     def test_block_evaluation(self):
         p = base_params()
         y = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, -2.0]])
-        block = mahalanobis_delta(p, y)
+        block = mahalanobis(p, y)
         assert block.shape == (3,)
         for i in range(3):
-            assert block[i] == pytest.approx(mahalanobis_delta(p, y[i]))
+            assert block[i] == pytest.approx(mahalanobis(p, y[i])[0])
 
     def test_ar_form(self):
         p = MsvgParams(mu=[0.5], beta1=[[0.3]], sigma=[[4.0]],
                        gamma=[0.0], nu=1.0)
         # residual = 2 - 0.5 - 0.3 * 1 = 1.2; delta = 1.2 / 2
-        assert mahalanobis_delta(p, np.array([[2.0]]), np.array([[1.0]]))[0] \
+        assert mahalanobis(p, np.array([[2.0]]), np.array([[1.0]]))[0] \
             == pytest.approx(0.6)
         with pytest.raises(ValueError):
-            mahalanobis_delta(p, np.array([[2.0]]))
+            mahalanobis(p, np.array([[2.0]]))
 
     def test_not_spd_raises(self):
         p = base_params()
         p.sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            mahalanobis_delta(p, np.array([1.0, 1.0]))
+            mahalanobis(p, np.array([1.0, 1.0]))
 
 
 class TestWhitening:
@@ -122,7 +135,7 @@ class TestWhitening:
         p = base_params()
         y = np.ones((50, 2))
         y[17, 1] = bad
-        for fn in (log_density, mahalanobis_delta, posterior_lambda_moments):
+        for fn in (log_density, mahalanobis, posterior_lambda_moments):
             with pytest.raises(ValueError):
                 fn(p, y)
 
@@ -340,7 +353,7 @@ class TestPosteriorMoments:
         psi = math.sqrt(2.0 * p.nu + float(p.gamma @ g))
         chol = np.linalg.cholesky(p.sigma)
         y_star = p.mu + (guard.delta_cap / psi) * chol[:, 0]
-        delta_star = mahalanobis_delta(p, y_star)
+        delta_star = mahalanobis(p, y_star)[0]
         assert delta_star * psi == pytest.approx(guard.delta_cap, rel=1e-12)
         mix_star = posterior_lambda_moments(p, y_star[None, :], guard=guard)
         assert mix.e_inv_lambda[0] == pytest.approx(mix_star.e_inv_lambda[0], rel=1e-9)
@@ -384,7 +397,7 @@ class TestPosteriorMoments:
         delta_target = 1e-6
         chol = np.linalg.cholesky(p.sigma)
         y = (p.mu + delta_target * chol[:, 0])[None, :]
-        delta = mahalanobis_delta(p, y)[0]
+        delta = mahalanobis(p, y)[0]
         mix = posterior_lambda_moments(p, y, guard=guard)
         assert mix.e_inv_lambda[0] == pytest.approx(
             (2.0 - 2 * 0.6) / delta ** 2, rel=1e-3)
@@ -396,7 +409,7 @@ class TestPosteriorMoments:
         psi = math.sqrt(2.0 * p.nu + float(p.gamma @ g))
         y = sample(p, 8, seed=1)
         mix = posterior_lambda_moments(p, y, guard=CenterGuard(1e-12))
-        deltas = mahalanobis_delta(p, y)
+        deltas = mahalanobis(p, y)
         for i in range(8):
             el, ei, elog = gig_moments_quad(p.nu - 1.0, deltas[i], psi)
             assert mix.e_lambda[i] == pytest.approx(el, abs=1e-8)

@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.special import digamma
 
 import msvg
 from msvg import specfun
 from msvg.distribution import (
     CenterGuard,
     Geometry,
+    MixingExpectations,
     MsvgParams,
     posterior_lambda_moments,
     sample,
@@ -35,10 +37,11 @@ from msvg.ecm import (
     observed_loglik,
 )
 from msvg.inference import flatten_params
-from msvg.specfun import digamma, trigamma
+from msvg.specfun import trigamma
 
 from oracles import (
     complete_data_loglik,
+    loglik_mp,
     mixture_log_density_batch,
     naive_suff_stats,
     wls_ar,
@@ -60,7 +63,7 @@ def make_mix(y, e_lam, e_inv, e_log=None, point=None):
     tag = None
     if point is not None:
         tag = Geometry.of(point, y).tag
-    return msvg.MixingExpectations(
+    return MixingExpectations(
         e_lambda=np.broadcast_to(np.asarray(e_lam, dtype=float), (n,)).copy(),
         e_inv_lambda=np.broadcast_to(np.asarray(e_inv, dtype=float), (n,)).copy(),
         e_log_lambda=(np.broadcast_to(np.asarray(e_log, dtype=float), (n,)).copy()
@@ -547,6 +550,26 @@ class TestObservedLoglik:
         full = observed_loglik(data, p)
         explicit = observed_loglik(data[1:], p, y_prev=data[:-1])
         assert full == explicit
+
+    @pytest.mark.parametrize("params, seed", [
+        (MsvgParams(mu=[0.1, -0.2], sigma=[[1.0, 0.4], [0.4, 1.0]],
+                    gamma=[0.2, 0.3], nu=2.5), 1),
+        (MsvgParams(mu=[0.1, -0.2], beta1=[[0.3, 0.1], [0.0, 0.2]],
+                    sigma=[[1.0, 0.4], [0.4, 1.0]], gamma=[0.2, 0.3], nu=2.5), 2),
+        (MsvgParams(mu=[0.0, 0.1, -0.1], sigma=0.6 * np.eye(3) + 0.4,
+                    gamma=[0.3, -0.2, 0.1], nu=0.9), 3),
+    ], ids=["d2-plain", "d2-ar1", "d3-nu-below-half-d"])
+    def test_matches_exact_oracle(self, params, seed):
+        # 40 modelled rows, none in the delta region (the oracle refuses those)
+        data = sample(params, 41 if params.ar else 40, seed=seed)
+        exact = loglik_mp(params, data)
+        assert observed_loglik(data, params) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_exact_oracle_refuses_a_guarded_row(self):
+        y = sample(BASE, 10, seed=4)
+        y[3] = BASE.mu
+        with pytest.raises(ValueError, match="row 3"):
+            loglik_mp(BASE, y)
 
 
 class TestFit:

@@ -160,9 +160,9 @@ class TestBuildsPerFit:
         observed_info(p, y)
         assert len(count_builds) == 1
 
-    def test_hecm_revert_restores_the_geometry(self, count_builds):
-        # the revert hands the next cycle the earlier iterate; a geometry
-        # left at the later one would fail its tag check there
+    def test_hecm_ecme_stage_starts_with_the_geometry_before_the_stop(self, count_builds):
+        # the ECME stage starts from the iterate before MCECM's stop, with
+        # its geometry; one left at the later iterate would fail its tag check
         data = sample(PLAIN, 300, seed=4)
         report = fit(data, FitConfig(algorithm="hecm"))
         assert report.switch_iter is not None

@@ -4,10 +4,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 import msvg
-from msvg.distribution import CenterGuard, Geometry, MsvgParams, sample
-from msvg.ecm import FitConfig, fit, observed_loglik
+from msvg.distribution import (
+    CenterGuard,
+    Geometry,
+    MixingExpectations,
+    MsvgParams,
+    log_density,
+    posterior_lambda_moments,
+    sample,
+)
+from msvg.ecm import (
+    FitConfig,
+    accumulate_suff_stats,
+    cm_step_location_skew,
+    cm_step_scale,
+    cm_step_shape_mcecm,
+    fit,
+    observed_loglik,
+)
 from msvg.inference import (
     InfoMatrix,
     SingularInformationError,
@@ -22,7 +39,6 @@ from msvg.inference import (
     unflatten_params,
     vech_indices,
 )
-from msvg.specfun import digamma
 
 from oracles import complete_data_loglik, gig_moment_quad, numerical_gradient, numerical_hessian
 
@@ -76,7 +92,7 @@ class TestParamVector:
 class TestConditionalMoments:
     def test_plain_matches_posterior_moments(self):
         y = sample(BASE, 20, seed=1)
-        mix = msvg.posterior_lambda_moments(BASE, y)
+        mix = posterior_lambda_moments(BASE, y)
         m1 = conditional_lambda_moment(BASE, y, k=1.0, kind="plain")
         m_1 = conditional_lambda_moment(BASE, y, k=-1.0, kind="plain")
         np.testing.assert_allclose(m1, mix.e_lambda, rtol=1e-12)
@@ -84,7 +100,7 @@ class TestConditionalMoments:
 
     def test_times_log_matches_posterior(self):
         y = sample(BASE, 10, seed=2)
-        mix = msvg.posterior_lambda_moments(BASE, y)
+        mix = posterior_lambda_moments(BASE, y)
         m = conditional_lambda_moment(BASE, y, k=0.0, kind="times_log")
         np.testing.assert_allclose(m, mix.e_log_lambda, rtol=0, atol=1e-10)
 
@@ -98,7 +114,7 @@ class TestConditionalMoments:
         y = np.array([0.8, -0.5])
         g = np.linalg.solve(BASE.sigma, BASE.gamma)
         psi = math.sqrt(2.0 * BASE.nu + float(BASE.gamma @ g))
-        delta = msvg.mahalanobis_delta(BASE, y)
+        delta = Geometry.of(BASE, y).delta[0]
         for k in (1.0, -1.0):
             ours = conditional_lambda_moment(BASE, y, k=k, kind="times_log")
             ref = gig_moment_quad(BASE.nu - 1.0, delta, psi,
@@ -140,7 +156,7 @@ class TestGuardedRegimeConsistency:
 
     @pytest.fixture(scope="class")
     def mix(self, y):
-        mix = msvg.posterior_lambda_moments(self.P, y, guard=self.GUARD)
+        mix = posterior_lambda_moments(self.P, y, guard=self.GUARD)
         assert mix.guarded[0] and 0 < mix.guarded.sum() < len(y)
         return mix
 
@@ -163,7 +179,7 @@ class TestGuardedRegimeConsistency:
         # scale_c = 1: the reported estimate is the final iterate itself
         report = fit(y, FitConfig(algorithm="mcecm", max_iter=3, scale_c=1.0,
                                   delta_cap=self.GUARD.delta_cap))
-        final = msvg.posterior_lambda_moments(report.params, y, guard=self.GUARD)
+        final = posterior_lambda_moments(report.params, y, guard=self.GUARD)
         assert report.guarded_count_final == int(final.guarded.sum()) > 0
 
 
@@ -187,16 +203,16 @@ class TestCompleteScore:
         n, d = 50, 2
         y = rng.normal(size=(n, d))
         lam = rng.uniform(0.4, 2.0, size=n)
-        mix = msvg.MixingExpectations(e_lambda=lam, e_inv_lambda=1.0 / lam,
-                                      e_log_lambda=np.log(lam),
-                                      guarded=np.zeros(n, dtype=bool))
-        stats = msvg.accumulate_suff_stats(y, mix)
-        coef, gamma = msvg.cm_step_location_skew(stats)
+        mix = MixingExpectations(e_lambda=lam, e_inv_lambda=1.0 / lam,
+                                 e_log_lambda=np.log(lam),
+                                 guarded=np.zeros(n, dtype=bool))
+        stats = accumulate_suff_stats(y, mix)
+        coef, gamma = cm_step_location_skew(stats)
         mu = coef[:, 0]
         point = MsvgParams(mu=mu, sigma=np.eye(d), gamma=gamma, nu=1.0)
         mix.tag = Geometry.of(point, y).tag
-        sigma = msvg.cm_step_scale(y, point, mix)
-        nu = msvg.cm_step_shape_mcecm(mix, 1.0)
+        sigma = cm_step_scale(y, point, mix)
+        nu = cm_step_shape_mcecm(mix, 1.0)
         p = MsvgParams(mu=mu, sigma=sigma, gamma=gamma, nu=nu)
         score = complete_score(p, y, lam)
         assert np.max(np.abs(score)) < 1e-9 * n
@@ -408,3 +424,47 @@ class TestAicc:
         p = MsvgParams(mu=np.zeros(5), beta1=np.zeros((5, 5)),
                        sigma=np.eye(5), gamma=np.zeros(5), nu=1.4)
         assert n_free_params(p) == 5 + 25 + 15 + 5 + 1
+
+
+class TestBlockShapes:
+    """One reading of a data block across the fit and the density layer: a
+    1-D block is a series when d = 1 and one observation otherwise."""
+
+    P1 = MsvgParams(mu=[0.1], sigma=[[1.0]], gamma=[0.2], nu=1.5)
+
+    @pytest.mark.parametrize("ar", [0, 1], ids=["plain", "ar1"])
+    def test_series_equals_column(self, ar):
+        params = replace(self.P1, beta1=[[0.3]]) if ar else self.P1
+        series = sample(params, 200, seed=11)[:, 0]
+        rep = fit(series, FitConfig(algorithm="mcecm", ar_order=ar))
+        column = series[:, None]
+        fitted = rep.params
+        if ar:
+            dens = [log_density(fitted, y[1:], y_prev=y[:-1]) for y in (series, column)]
+        else:
+            dens = [log_density(fitted, y) for y in (series, column)]
+        assert dens[0].shape == (len(series) - ar,)
+        np.testing.assert_array_equal(dens[0], dens[1])
+        assert observed_loglik(series, fitted) == observed_loglik(column, fitted)
+        assert observed_loglik(column, fitted) == pytest.approx(rep.final_loglik, rel=1e-12)
+        np.testing.assert_array_equal(observed_info(fitted, series).matrix,
+                                      observed_info(fitted, column).matrix)
+
+    def test_block_of_the_wrong_width_raises(self):
+        p = MsvgParams(mu=np.zeros(3), sigma=np.eye(3), gamma=[0.1, 0.2, 0.3], nu=2.0)
+        block = sample(self.P1, 40, seed=12)
+        assert block.shape == (40, 1)
+        for call in (lambda: log_density(p, block), lambda: observed_loglik(block, p),
+                     lambda: observed_info(p, block)):
+            with pytest.raises(ValueError, match="3 columns"):
+                call()
+
+    def test_one_observation_is_a_float(self):
+        for p, y in ((BASE, np.array([0.3, -0.2])), (self.P1, 0.3)):
+            row = np.reshape(y, (1, -1))
+            assert type(log_density(p, y)) is float
+            assert log_density(p, y) == log_density(p, row)[0]
+            geometry = Geometry.of(p, row)
+            assert type(conditional_lambda_moment(p, y, geometry=geometry)) is float
+            handed = posterior_lambda_moments(p, y, geometry=geometry)
+            assert handed.e_lambda.tolist() == posterior_lambda_moments(p, row).e_lambda.tolist()
