@@ -26,7 +26,8 @@ eta and the guard mask for a given nu.  The density, the E-step, the
 information moments of :mod:`msvg.inference`, ECME's shape search and the
 fit's final guarded count all read them from there.  The order derivative
 of K behind E(log lam) is the one central difference of :mod:`msvg.specfun`,
-formed from the ln K_eta that E(lam) and E(1/lam) already need.
+formed from the ln K_eta that E(lam) and E(1/lam) already need.  The
+geometry also holds the ln K blocks evaluated at its point (``lnk``).
 
 A geometry lives for one parameter point (location, Sigma, gamma; nu is not
 part of it) and one data block.  The consumers that take it as the
@@ -283,7 +284,9 @@ class Geometry:
     the one built after the scale step feeds the shape step, the cycle's
     log-likelihood, the next cycle's first E-step and the final guarded
     count.  ``tag`` (:func:`_point_tag`) names the point; :meth:`at` rejects
-    a geometry handed on to another point.
+    a geometry handed on to another point.  ``lnk`` holds the point's ln K
+    blocks, the memo of :func:`msvg.specfun.log_bessel_k`; it is not an
+    argument, so every new geometry, ``replace``'s too, starts empty.
     """
 
     d: int
@@ -292,6 +295,7 @@ class Geometry:
     logdet: float
     q_gamma: float
     tag: bytes = field(repr=False)
+    lnk: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, params, y, y_prev=None) -> "Geometry":
@@ -341,7 +345,7 @@ class Geometry:
         const = ((1.0 - nu) * math.log(2.0) + 0.5 * d * math.log(nu)
                  - 0.5 * self.logdet - 0.5 * d * math.log(math.pi) - float(gammaln(nu)))
         return (const + eta * (np.log(delta) + math.log(2.0 * nu) - math.log(psi))
-                + log_bessel_k(eta, delta * psi) + self.lin)
+                + log_bessel_k(eta, delta * psi, self.lnk) + self.lin)
 
 
 def log_density(params, y, guard: CenterGuard | None = None, y_prev=None):
@@ -395,7 +399,7 @@ def sample(params, n: int, seed: int, y0=None) -> np.ndarray:
     return params.mu + lam[:, None] * params.gamma + np.sqrt(lam)[:, None] * noise
 
 
-def _gig_first_moments(eta: float, z, log_dp):
+def _gig_first_moments(eta: float, z, log_dp, memo: dict | None):
     """``(E(lam), E(1/lam), ln K_|eta|(z))`` of the GIG posterior.
 
     ``log_dp`` is ln(delta/psi).  Both adjacent-order ratios come from two
@@ -403,8 +407,8 @@ def _gig_first_moments(eta: float, z, log_dp):
     terms positive for a >= 0).
     """
     a = abs(eta)
-    lk_a = np.asarray(log_bessel_k(a, z))
-    base = np.exp(np.asarray(log_bessel_k(abs(a - 1.0), z)) - lk_a)
+    lk_a = np.asarray(log_bessel_k(a, z, memo))
+    base = np.exp(np.asarray(log_bessel_k(abs(a - 1.0), z, memo)) - lk_a)
     rec = 2.0 * a / z + base
     ratio_up, ratio_dn = (rec, base) if eta >= 0 else (base, rec)
     # np.minimum(np.maximum(.)) is np.clip without its wrapper
@@ -436,9 +440,9 @@ def posterior_lambda_moments(params, y, guard: CenterGuard | None = None,
     psi, eta, delta, guarded = geometry.capped(params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
-    e_lam, e_inv, lk_a = _gig_first_moments(eta, z, log_dp)
+    e_lam, e_inv, lk_a = _gig_first_moments(eta, z, log_dp, geometry.lnk)
     # K_{-v} = K_v, so ln K_|eta| is ln K_eta
-    e_log = log_dp + _order_diff_over_k(eta, z, lk_a) if need_log else None
+    e_log = log_dp + _order_diff_over_k(eta, z, lk_a, 1, geometry.lnk) if need_log else None
 
     return MixingExpectations(e_lambda=e_lam, e_inv_lambda=e_inv,
                               e_log_lambda=e_log, guarded=guarded, tag=geometry.tag)

@@ -157,12 +157,20 @@ class FitReport:
     mcecm_stage: FitReport | None = None
 
 
+def _block(data) -> np.ndarray:
+    """``data`` as (n, d) for :func:`fit`, :func:`initial_params` and
+    :func:`accumulate_suff_stats`: 1-D is a d = 1 series; other ranks raise."""
+    data = np.asarray(data, dtype=float)
+    data = data[:, None] if data.ndim == 1 else data
+    if data.ndim != 2:
+        raise ValueError(f"data must be a series or an (n, d) matrix, got shape {data.shape}")
+    return data
+
+
 def initial_params(data: np.ndarray, ar_order: int = 0):
     """Moment-based starting values: sample mean, sample covariance, zero
     skew, shape equal to the dimension (AR starts with a zero lag matrix)."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.ndim != 2:
-        raise ValueError("data must be a matrix")
+    data = _block(data)
     n, d = data.shape
     if n <= d + 1:
         raise ValueError(f"need more than d + 1 = {d + 1} observations, got {n}")
@@ -183,7 +191,7 @@ def accumulate_suff_stats(data: np.ndarray, mix: MixingExpectations,
                           r: np.ndarray | None = None) -> SuffStats:
     """Sums of the complete-data sufficient statistics over the rows, in the
     order given; ``r`` (n, k) holds the location's regressors (default: 1)."""
-    y = np.atleast_2d(np.asarray(data, dtype=float))
+    y = _block(data)
     r = np.ones((len(y), 1)) if r is None else r
     w = mix.e_inv_lambda[:, None, None] * r[:, :, None]
     return SuffStats(
@@ -514,16 +522,13 @@ def fit(data: np.ndarray, config: FitConfig = FitConfig()) -> FitReport:
     The input is pre-multiplied by ``config.scale_c``; estimates and the
     log-likelihood trace are reported back in the original data scale.  For
     ``ar_order=1`` the first row of ``data`` conditions the fit and the
-    remaining rows are modelled.  The modelled rows are sorted first; the
-    AR(1) start values read the series in time order.  A log-likelihood that
-    is not finite raises ``FloatingPointError``.
+    remaining rows are modelled.  A 1-D ``data`` is a d = 1 series.  The
+    modelled rows are sorted first; the AR(1) start values read the series
+    in time order.  A log-likelihood that is not finite raises
+    ``FloatingPointError``.
     """
     t0 = time.perf_counter()
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.ndim != 2:
-        raise ValueError("data must be a matrix of shape (n, d)")
+    data = _block(data)
     if not np.all(np.isfinite(data)):
         raise ValueError("data must be finite")
     n_total, d = data.shape

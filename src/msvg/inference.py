@@ -148,26 +148,27 @@ def conditional_lambda_moment(params, y, k: float = 1.0, kind: str = "plain",
     """
     if kind not in ("plain", "times_log", "log_squared"):
         raise ValueError(f"unknown kind {kind!r}")
-    psi, eta, delta, _ = Geometry.at(params, y, y_prev, geometry).capped(
-        params.nu, guard)
+    geometry = Geometry.at(params, y, y_prev, geometry)
+    psi, eta, delta, _ = geometry.capped(params.nu, guard)
     z = delta * psi
     log_dp = np.log(delta) - math.log(psi)
+    memo = geometry.lnk
 
     with np.errstate(over="ignore"):
         if kind == "log_squared":
-            d1 = bessel_k_order_derivative_over_k(eta, z, degree=1)
-            d2 = bessel_k_order_derivative_over_k(eta, z, degree=2)
+            d1 = bessel_k_order_derivative_over_k(eta, z, degree=1, memo=memo)
+            d2 = bessel_k_order_derivative_over_k(eta, z, degree=2, memo=memo)
             out = log_dp ** 2 + d2 + 2.0 * log_dp * d1
         elif kind == "plain" and abs(k) == 1.0:
             # the E-step's own route, so both see the same E(lam), E(1/lam)
-            out = _gig_first_moments(eta, z, log_dp)[0 if k > 0 else 1]
+            out = _gig_first_moments(eta, z, log_dp, memo)[0 if k > 0 else 1]
         else:
-            plain = np.exp(k * log_dp + np.asarray(log_bessel_k(eta + k, z))
-                           - np.asarray(log_bessel_k(eta, z)))
+            plain = np.exp(k * log_dp + np.asarray(log_bessel_k(eta + k, z, memo))
+                           - np.asarray(log_bessel_k(eta, z, memo)))
             if kind == "plain":
                 out = plain
             else:
-                d1 = bessel_k_order_derivative_over_k(eta + k, z, degree=1)
+                d1 = bessel_k_order_derivative_over_k(eta + k, z, degree=1, memo=memo)
                 out = plain * (d1 + log_dp)
     return float(out[0]) if _one_observation(y, params.d) else out
 

@@ -25,13 +25,11 @@ use; a forked child drops the pool it inherited (its threads do not exist
 there) and creates its own.  The worker processes of a study run the kernel
 on one thread.
 
-A block asked for again is read from a memo keyed on (|order|, z's shape,
-z's bytes), so a hit returns the bits a fresh evaluation would.  It keeps
-the most recently used entries, at most ``_MEMO_ENTRIES`` and at most
-``_MEMO_BYTES`` (an entry counts twice its z bytes); a larger block is never
-stored.  It stores a copy of each result and hands out a copy on each hit,
-so a caller that writes into its result changes no later one.  A forked
-child starts with an empty memo and a new lock.
+A caller that asks for a block more than once hands in a memo, the dict of
+ln K blocks a :class:`msvg.distribution.Geometry` holds for its point.  It
+is keyed on (|order|, z's shape, z's bytes), so a hit returns the bits a
+fresh evaluation would, and its results are read-only.  A memo belongs to
+one geometry on one thread and is freed with it: no lock and no bound.
 
 The order derivatives of K_v are central differences in v of step
 ``ORDER_DIFF_STEP``, formed in one place, ``_order_diff_over_k``, from the
@@ -44,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,14 +57,6 @@ _CHUNK = 2048
 # the largest block, thread_count() - 1 workers
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-# the ln K memo, (order, shape, z bytes) -> ln K, least recently used first;
-# an ECME shape search of about 14 trials keeps its best trial for the
-# closing log-likelihood, and 32 blocks of 1e4 arguments hold 5 MB
-_MEMO_ENTRIES = 32
-_MEMO_BYTES = 32 << 20
-_memo: OrderedDict = OrderedDict()
-_memo_bytes = 0
-_memo_lock = threading.Lock()
 
 
 def thread_count() -> int:
@@ -85,31 +74,11 @@ def thread_count() -> int:
     return requested
 
 
-def _clear_memo() -> None:
-    global _memo, _memo_bytes
-    with _memo_lock:
-        _memo, _memo_bytes = OrderedDict(), 0
-
-
-def _remember(key: tuple, out: np.ndarray) -> None:
-    # an entry holds its key's z bytes and as many bytes of ln K
-    global _memo_bytes
-    size = 2 * len(key[2])
-    with _memo_lock:
-        if size > _MEMO_BYTES or key in _memo:
-            return
-        _memo[key] = out
-        _memo_bytes += size
-        while len(_memo) > _MEMO_ENTRIES or _memo_bytes > _MEMO_BYTES:
-            _memo_bytes -= 2 * len(_memo.popitem(last=False)[0][2])
-
-
 def _drop_pool() -> None:
-    # a forked child has none of the parent's threads, and the locks may
+    # a forked child has none of the parent's threads, and the lock may
     # have been held by one of them at the fork
-    global _pool, _pool_lock, _memo_lock
-    _pool, _pool_lock, _memo_lock = None, threading.Lock(), threading.Lock()
-    _clear_memo()
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_drop_pool)
@@ -215,12 +184,13 @@ def _log_k_ladder(order: float, z: float) -> float:
     return lk1
 
 
-def log_bessel_k(order: float, z):
+def log_bessel_k(order: float, z, memo: dict | None = None):
     """ln K_order(z) for real order and z > 0.
 
     Uses the symmetry K_{-v} = K_v.  Vectorized over ``z``; the order is a
-    scalar.  Large blocks are split across threads, and a block asked for
-    again is read from the memo (see the module notes).
+    scalar.  Large blocks are split across threads.  A block found in
+    ``memo`` is read from it, and one that is not is stored there read-only
+    (see the module notes); the bits are the same either way.
     Finite for all z in (0, 1e8] and |order| <= 300.
     """
     if not math.isfinite(order):
@@ -229,16 +199,14 @@ def log_bessel_k(order: float, z):
     # an array is never a scalar, and np.isscalar is slow to say so
     scalar = not isinstance(z, np.ndarray) and np.isscalar(z)
     z = np.array(z, dtype=float, ndmin=1, copy=None)
-    key = (order, z.shape, z.tobytes())
-    with _memo_lock:
-        out = _memo.get(key)
-        if out is not None:
-            _memo.move_to_end(key)
-    if out is None:
+    if memo is None:
         out = _evaluate(order, z)
-        _remember(key, out.copy())
     else:
-        out = out.copy()
+        key = (order, z.shape, z.tobytes())
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _evaluate(order, z)
+            out.flags.writeable = False
     return float(out[0]) if scalar else out
 
 
@@ -258,22 +226,24 @@ def _evaluate(order: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _order_diff_over_k(order: float, z, lk, degree: int = 1) -> np.ndarray:
+def _order_diff_over_k(order: float, z, lk, degree: int, memo: dict | None) -> np.ndarray:
     """K_v^(degree,0)(z) / K_v(z) by central differences of step
     ``ORDER_DIFF_STEP``, given ``lk`` = ln K_order(z) from the caller."""
     h = ORDER_DIFF_STEP
-    up = np.exp(np.asarray(log_bessel_k(order + h, z)) - lk)
-    dn = np.exp(np.asarray(log_bessel_k(order - h, z)) - lk)
+    up = np.exp(np.asarray(log_bessel_k(order + h, z, memo)) - lk)
+    dn = np.exp(np.asarray(log_bessel_k(order - h, z, memo)) - lk)
     if degree == 1:
         return (up - dn) / (2.0 * h)
     return (up + dn - 2.0) / (h * h)
 
 
-def bessel_k_order_derivative_over_k(order: float, z, degree: int = 1):
-    """Order derivative of K_v(z) divided by K_v(z): K_v^(degree,0)(z) / K_v(z)."""
+def bessel_k_order_derivative_over_k(order: float, z, degree: int = 1,
+                                     memo: dict | None = None):
+    """Order derivative of K_v(z) divided by K_v(z): K_v^(degree,0)(z) / K_v(z);
+    ``memo`` is read and filled as by :func:`log_bessel_k`."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    out = _order_diff_over_k(order, z, np.asarray(log_bessel_k(order, z)), degree)
+    out = _order_diff_over_k(order, z, np.asarray(log_bessel_k(order, z, memo)), degree, memo)
     return float(out) if np.isscalar(z) else out
 
 

@@ -154,36 +154,99 @@ def loglik_mp(params, y, y_prev=None, delta_cap=None, dps: int = 50) -> float:
     """
     import mpmath as mp
 
+    y, y_prev = _modelled_rows(params, y, y_prev)
+    with mp.workdps(dps):
+        blocks = [mp.matrix(np.asarray(a, dtype=float).tolist())
+                  for a in (params.mu, params.sigma, params.gamma)]
+        beta1 = None if params.beta1 is None else mp.matrix(params.beta1.tolist())
+        return float(_loglik_mp_at(*blocks, mp.mpf(float(params.nu)), beta1,
+                                   y, y_prev, delta_cap))
+
+
+def _modelled_rows(params, y, y_prev):
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if params.beta1 is not None and y_prev is None:
         y, y_prev = y[1:], y[:-1]
+    return y, y_prev
+
+
+def _loglik_mp_at(mu, sigma, gamma_v, nu, beta1, y, y_prev, delta_cap):
+    # loglik_mp's sum from mpmath parameters, at the working precision
+    import mpmath as mp
+
     d = y.shape[1]
     if delta_cap is None:
         delta_cap = 1e-4 if d <= 2 else 1e-2
+    prec = mp.inverse(sigma)
+    eta = nu - mp.mpf(d) / 2
+    pg = prec * gamma_v
+    psi = mp.sqrt(2 * nu + (gamma_v.T * pg)[0])
+    const = (mp.log(2) + nu * mp.log(nu) - mp.loggamma(nu)
+             - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(mp.det(sigma)) / 2)
+    total = mp.mpf(0)
+    for i, row in enumerate(y):
+        e = mp.matrix(row.tolist()) - mu
+        if beta1 is not None:
+            e -= beta1 * mp.matrix(np.asarray(y_prev[i], dtype=float).tolist())
+        delta = mp.sqrt((e.T * prec * e)[0])
+        z = delta * psi
+        if z < delta_cap:
+            raise ValueError(f"row {i} lies in the delta region (delta psi = {float(z):.3g})")
+        total += (const + eta * mp.log(delta / psi) + mp.log(mp.besselk(eta, z))
+                  + (e.T * pg)[0])
+    return total
+
+
+def information_mp(params, y, y_prev=None, delta_cap=None, rel_step: float = 1e-12,
+                   dps: int = 50) -> np.ndarray:
+    """-Hessian of :func:`loglik_mp` in the free-parameter vector, by central
+    differences of step ``rel_step`` * max(1, |theta_j|).
+
+    The vector is laid out as ``msvg.inference.param_labels`` names it: the
+    location (mu, then vec(beta1) column-major for AR(1)), vech(Sigma)
+    column-major with one entry for each symmetric pair, gamma and nu.  The
+    shifted points and every l are mpf at ``dps`` digits: a float l cannot
+    resolve a step of 1e-12, and a float theta +- h would round the step.
+    """
+    import mpmath as mp
+
+    y, y_prev = _modelled_rows(params, y, y_prev)
+    d = y.shape[1]
+    ar = params.beta1 is not None
+    vech = [(i, j) for j in range(d) for i in range(j, d)]
+    theta = [*params.mu, *(params.beta1.ravel(order="F") if ar else []),
+             *(params.sigma[i, j] for i, j in vech), *params.gamma, params.nu]
+    n_loc = d * (d + 1 if ar else 1)
     with mp.workdps(dps):
-        sigma = mp.matrix(np.asarray(params.sigma, dtype=float).tolist())
-        prec = mp.inverse(sigma)
-        gamma_v = mp.matrix(np.asarray(params.gamma, dtype=float).tolist())
-        mu = mp.matrix(np.asarray(params.mu, dtype=float).tolist())
-        beta1 = None if params.beta1 is None else mp.matrix(params.beta1.tolist())
-        nu = mp.mpf(float(params.nu))
-        eta = nu - mp.mpf(d) / 2
-        pg = prec * gamma_v
-        psi = mp.sqrt(2 * nu + (gamma_v.T * pg)[0])
-        const = (mp.log(2) + nu * mp.log(nu) - mp.loggamma(nu)
-                 - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(mp.det(sigma)) / 2)
-        total = mp.mpf(0)
-        for i, row in enumerate(y):
-            e = mp.matrix(row.tolist()) - mu
-            if beta1 is not None:
-                e -= beta1 * mp.matrix(np.asarray(y_prev[i], dtype=float).tolist())
-            delta = mp.sqrt((e.T * prec * e)[0])
-            z = delta * psi
-            if z < delta_cap:
-                raise ValueError(f"row {i} lies in the delta region (delta psi = {float(z):.3g})")
-            total += (const + eta * mp.log(delta / psi) + mp.log(mp.besselk(eta, z))
-                      + (e.T * pg)[0])
-        return float(total)
+        theta = [mp.mpf(float(t)) for t in theta]
+        steps = [rel_step * max(mp.mpf(1), abs(t)) for t in theta]
+
+        def loglik(shift: dict) -> mp.mpf:
+            t = [v + shift.get(k, 0) for k, v in enumerate(theta)]
+            sigma = mp.matrix(d, d)
+            for k, (i, j) in enumerate(vech):
+                sigma[i, j] = sigma[j, i] = t[n_loc + k]
+            beta1 = None
+            if ar:
+                beta1 = mp.matrix(d, d)
+                for k in range(d * d):
+                    beta1[k % d, k // d] = t[d + k]
+            gamma_v = mp.matrix(t[n_loc + len(vech):-1])
+            return _loglik_mp_at(mp.matrix(t[:d]), sigma, gamma_v, t[-1], beta1,
+                                 y, y_prev, delta_cap)
+
+        p = len(theta)
+        info = np.empty((p, p))
+        l0 = loglik({})
+        for i in range(p):
+            hi = steps[i]
+            info[i, i] = -float((loglik({i: hi}) - 2 * l0 + loglik({i: -hi})) / hi ** 2)
+            for j in range(i + 1, p):
+                hj = steps[j]
+                corners = (loglik({i: hi, j: hj}) - loglik({i: hi, j: -hj})
+                           - loglik({i: -hi, j: hj}) + loglik({i: -hi, j: -hj}))
+                info[i, j] = info[j, i] = -float(corners / (4 * hi * hj))
+    return info
 
 
 def mixture_log_density_batch(mu, sigma, gamma, nu, ys,

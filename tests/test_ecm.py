@@ -13,7 +13,7 @@ from scipy import optimize
 from scipy.special import digamma
 
 import msvg
-from msvg import specfun
+from msvg import distribution, inference, specfun
 from msvg.distribution import (
     CenterGuard,
     Geometry,
@@ -101,6 +101,38 @@ class TestInitialParams:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             initial_params(np.zeros((3, 3)) + np.eye(3))
+
+
+class TestDataBlock:
+    """fit, initial_params and accumulate_suff_stats read a block alike: a
+    1-D block is a d = 1 series, 2-D is (n, d), and any other rank raises."""
+
+    SERIES = sample(MsvgParams(mu=[0.0], sigma=[[1.0]], gamma=[0.2], nu=1.5), 60, seed=8)[:, 0]
+
+    def test_series_is_a_column(self):
+        x, col = self.SERIES, self.SERIES[:, None]
+        assert differing_fields(initial_params(x), initial_params(col)) == []
+        lam = np.linspace(0.5, 2.0, len(x))
+        mix = make_mix(col, lam, 1.0 / lam)
+        assert differing_fields(accumulate_suff_stats(x, mix),
+                                accumulate_suff_stats(col, mix)) == []
+        assert accumulate_suff_stats(x, mix).s_ry_over_lambda.shape == (1, 1)
+        config = FitConfig(algorithm="mcecm", max_iter=20)
+        assert differing_fields(fit(x, config), fit(col, config)) == []
+
+    def test_linspace_series_starts(self):
+        p = initial_params(np.linspace(0.0, 1.0, 30))
+        assert p.d == 1 and p.mu[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("shape", [(), (30, 2, 1)])
+    def test_other_ranks_raise(self, shape):
+        block = np.ones(shape)
+        mix = make_mix(np.ones((30, 2)), 1.0, 1.0)
+        for call in (lambda: initial_params(block),
+                     lambda: accumulate_suff_stats(block, mix),
+                     lambda: fit(block)):
+            with pytest.raises(ValueError, match="series or an"):
+                call()
 
 
 def lagged(x):
@@ -829,9 +861,9 @@ class TestMcecmStage:
 
 
 class TestBesselMemo:
-    """The ln K memo only saves evaluations: with no entry kept (the memo
-    is empty at every call), each fit and its information have the same
-    bits as the default run."""
+    """A geometry's ln K memo only saves evaluations: with every call
+    evaluated afresh, each fit and its information have the same bits as
+    the default run."""
 
     @pytest.mark.parametrize("case", [
         "mcecm", "ecme", "hecm", "mcecm_ar1", "ecme_ar1", "hecm_ar1", "hecm_nu0.6"])
@@ -845,12 +877,14 @@ class TestBesselMemo:
         guard = CenterGuard(config.delta_cap) if config.delta_cap else None
 
         def run():
-            specfun._clear_memo()
             rep = fit(data, config)
             return rep, msvg.observed_info(rep.params, data, guard=guard)
 
         memo, memo_info = run()
-        monkeypatch.setattr(specfun, "_MEMO_ENTRIES", 0)
+        log_bessel_k = specfun.log_bessel_k
+        for module in (specfun, distribution, inference):
+            monkeypatch.setattr(module, "log_bessel_k",
+                                lambda order, z, memo=None: log_bessel_k(order, z))
         fresh, fresh_info = run()
         assert differing_fields(memo, fresh) == []
         assert differing_fields(memo_info, fresh_info) == []
@@ -866,13 +900,21 @@ class TestBesselMemo:
         monkeypatch.setattr(specfun, "_evaluate", lambda order, z: (
             evaluations.append(order), evaluate(order, z))[1])
         data = sample(BASE, 400, seed=5)
-        specfun._clear_memo()
         rep = fit(data, FitConfig(algorithm="mcecm"))
         assert len(evaluations) == 8 * rep.conv_iter + 1
-        specfun._clear_memo()
         evaluations.clear()
         msvg.observed_info(rep.params, data)
         assert len(evaluations) == 11
+
+    def test_new_geometries_do_not_share_a_memo(self):
+        data = sample(BASE, 50, seed=5)
+        geometry = Geometry.of(BASE, data)
+        density = geometry.log_density(BASE.nu)
+        assert len(geometry.lnk) == 1
+        for other in (replace(geometry), Geometry.of(BASE, data)):
+            assert other.lnk == {} and other.lnk is not geometry.lnk
+            np.testing.assert_array_equal(other.log_density(BASE.nu), density)
+            assert len(other.lnk) == 1 and len(geometry.lnk) == 1
 
 
 class TestCompleteDataConsistency:

@@ -40,7 +40,13 @@ from msvg.inference import (
     vech_indices,
 )
 
-from oracles import complete_data_loglik, gig_moment_quad, numerical_gradient, numerical_hessian
+from oracles import (
+    complete_data_loglik,
+    gig_moment_quad,
+    information_mp,
+    numerical_gradient,
+    numerical_hessian,
+)
 
 BASE = MsvgParams(mu=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 1.0]],
                   gamma=[0.2, 0.3], nu=3.0)
@@ -326,6 +332,37 @@ class TestObservedInfo:
         mask = np.abs(info.matrix) > 1e-6 * scale
         rel = np.abs(hess - info.matrix)[mask] / np.abs(info.matrix)[mask]
         assert rel.max() < 0.05
+
+    # measured |I - I_exact| / sqrt(|I_ii I_jj|): outside the nu row and
+    # column 6.9e-15 (plain) and 1.4e-15 (AR(1)); the nu row carries the
+    # central differences in the order of K, 1.6e-10 and 2.1e-9 off the
+    # diagonal, 8.3e-4 and 1.9e-4 at (nu, nu).  The bounds leave a margin
+    # of 2.4 to 6 over them.
+    @pytest.mark.parametrize("case, nu_off, nu_nu", [
+        ("plain_fit", 1e-9, 2e-3), ("ar1_true_point", 1e-8, 1e-3)],
+        ids=["plain_fit", "ar1_true_point"])
+    @pytest.mark.filterwarnings("ignore:observed information is not positive definite")
+    def test_matches_exact_information(self, case, nu_off, nu_nu):
+        # information_mp: -Hessian of the 50-digit l, steps 1e-12 |theta_j|;
+        # it refuses a guarded row.  Louis's identity holds at any point,
+        # fitted or not
+        if case == "plain_fit":
+            y = sample(MsvgParams(mu=[0.0, 0.0], sigma=0.7 * np.eye(2) + 0.3,
+                                  gamma=[0.1, 0.3], nu=2.5), 30, seed=2)
+            rep = fit(y, FitConfig(tol=1e-12))
+            assert rep.converged
+            params = rep.params
+        else:
+            params = MsvgParams(mu=[0.1, -0.2], beta1=[[0.25, 0.1], [-0.05, 0.3]],
+                                sigma=[[1.0, 0.4], [0.4, 1.0]], gamma=[0.2, 0.3], nu=2.5)
+            y = sample(params, 8, seed=4)
+        exact = information_mp(params, y)
+        info = observed_info(params, y).matrix
+        scale = np.sqrt(np.abs(np.diag(exact)))
+        rel = np.abs(info - exact) / np.outer(scale, scale)
+        assert rel[:-1, :-1].max() < 1e-10
+        assert rel[-1, :-1].max() < nu_off
+        assert rel[-1, -1] < nu_nu
 
     def test_se_scaling_under_data_scaling(self):
         # the argmax maps exactly under scaling, so compare the information
